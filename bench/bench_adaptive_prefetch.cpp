@@ -66,7 +66,6 @@ core::PipelineConfig pipeline_config(const WindowConfig& wcfg,
                                      std::size_t threads) {
   core::PipelineConfig pcfg;
   pcfg.threads = threads;
-  pcfg.work_stealing = true;
   pcfg.prefetch = true;
   // CPU backend: opt out of the backend-aware throttle so lookahead runs
   // (this harness's cores are otherwise idle; a production CPU-only

@@ -70,7 +70,6 @@ core::PipelineConfig pipeline_config(const AdmissionConfig& cfg,
                                      std::size_t threads) {
   core::PipelineConfig pcfg;
   pcfg.threads = threads;
-  pcfg.work_stealing = true;
   pcfg.prefetch = cfg.prefetch;
   // CPU backend here: opt out of the backend-aware throttle so the
   // prefetch rows actually exercise lookahead (the cores are idle in this

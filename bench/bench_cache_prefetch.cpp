@@ -1,16 +1,15 @@
-// The concurrent serving layer vs the PR 1 pipeline: sharded ball cache,
-// stage-lookahead prefetch, and work-stealing batch scheduling on a skewed
-// (popular-seed-heavy) query stream.
+// The concurrent serving layer vs the bare stealing scheduler: sharded
+// ball cache and stage-lookahead prefetch on a skewed (popular-seed-heavy)
+// query stream.
 //
 // The paper's Fig. 7 shows CPU-side BFS dominating end-to-end latency once
-// device parallelism grows; PR 1's pipeline still paid full BFS on every
-// task and had to run cache-less in parallel mode. This bench layers the
-// fixes on one at a time, at a fixed thread count:
+// device parallelism grows; without a cache the pipeline pays full BFS on
+// every task. This bench layers the fixes on one at a time, at a fixed
+// thread count, all on the work-stealing batch scheduler:
 //
-//   baseline (PR 1)   — no cache, no prefetch, query-pinned batch
+//   bare stealing     — no cache, no prefetch
 //   + sharded cache   — popular balls extracted once, served to all workers
 //   + prefetch        — next-stage balls extracted during device diffusion
-//   + work stealing   — tail queries spill their stage tasks to idle workers
 //
 // Reported per configuration: wall q/s, the BFS seconds the workers still
 // paid (demand), the BFS seconds the cache+prefetcher removed or hid, the
@@ -45,18 +44,12 @@ struct LayerConfig {
   std::string name;
   bool cache = false;
   bool prefetch = false;
-  bool stealing = false;
 };
 
-// Prefetch layers on top of stealing: the query-pinned path runs each
-// query's serial DFS inside Engine::query, which exposes no lookahead
-// hook — only the stealing scheduler (and the stage-parallel single-query
-// path) publishes children early enough to prefetch.
 const std::vector<LayerConfig> kLayers = {
-    {"baseline (PR1)", false, false, false},
-    {"+ sharded cache", true, false, false},
-    {"+ work stealing", true, false, true},
-    {"+ prefetch", true, true, true},
+    {"bare stealing", false, false},
+    {"+ sharded cache", true, false},
+    {"+ prefetch", true, true},
 };
 
 struct RunResult {
@@ -77,8 +70,6 @@ RunResult run_layer(core::Engine& engine, core::DiffusionBackend& backend,
   // throttle is off: the CPU-backend table shows what prefetch buys when
   // cores are genuinely spare, the farm table the throttle's target case.
   pcfg.prefetch_throttle = false;
-  pcfg.work_stealing = layer.stealing;
-  pcfg.pool_aggregators = layer.stealing;  // pooled arenas ride along
   core::QueryPipeline pipeline(engine, backend, pcfg);
 
   RunResult r;
@@ -90,7 +81,7 @@ RunResult run_layer(core::Engine& engine, core::DiffusionBackend& backend,
 }
 
 /// Bit-identical comparison against precomputed serial references (the
-/// acceptance contract of every batch scheduling mode).
+/// pipeline's acceptance contract).
 bool scores_match_serial(
     const std::unordered_map<graph::NodeId, std::vector<ppr::ScoredNode>>&
         reference,
@@ -111,7 +102,7 @@ bool scores_match_serial(
 
 int run(bool smoke) {
   Rng rng = banner(
-      "serving layer — sharded cache + prefetch + stealing vs PR1 pipeline");
+      "serving layer — sharded cache + prefetch vs bare stealing");
   graph::Graph g = build_graph(graph::PaperGraphId::kG3Pubmed, rng);
 
   core::MelopprConfig cfg = default_config(/*k=*/100);
@@ -184,7 +175,7 @@ int run(bool smoke) {
          fmt_fixed(r.stats.demand_bfs_seconds, 3), fmt_fixed(hidden_s, 3),
          layer.cache ? fmt_percent(r.stats.cache_hit_rate()) : "-",
          layer.cache ? std::to_string(r.stats.dedup_hits) : "-",
-         layer.stealing ? std::to_string(r.stats.stolen_tasks) : "-"});
+         std::to_string(r.stats.stolen_tasks)});
   }
 
   std::cout << table.ascii() << '\n';
@@ -216,9 +207,8 @@ int run(bool smoke) {
   }
   std::cout << farm_table.ascii() << '\n'
             << "reading: the cache turns repeated popular-seed BFS into "
-               "memory, the prefetcher moves the remaining BFS into the "
-               "farm-wait window, and stealing keeps tail queries from "
-               "idling the pool — scores bit-identical throughout.\n";
+               "memory and the prefetcher moves the remaining BFS into the "
+               "farm-wait window — scores bit-identical throughout.\n";
 
   // --- loud checks (CI smoke gate) ---
   bool ok = true;
@@ -242,11 +232,10 @@ int run(bool smoke) {
     check(threads < 2 || full_stats.prefetch_issued > 0,
           "prefetcher received lookahead work");
     // Wall-clock q/s on shared CI runners is noisy; the smoke gate only
-    // rejects catastrophic regressions of the full stack vs the PR 1
-    // baseline. The >=1.3x acceptance figure is checked on dedicated
-    // hardware via the full run.
+    // rejects catastrophic regressions of the full stack vs the bare
+    // stealing scheduler.
     check(layered_qps >= 0.75 * base_qps,
-          "full serving stack at least ~parity with the PR1 baseline");
+          "full serving stack at least ~parity with bare stealing");
   }
   std::cout << (ok ? "OK" : "FAILED") << ": serving-layer checks ("
             << (smoke ? "smoke" : "full") << " mode), full-stack speedup "

@@ -45,7 +45,6 @@ BatchRun run_batch(core::Engine& engine, core::DiffusionBackend& backend,
   engine.set_shared_ball_cache(&cache);
   core::PipelineConfig pcfg;
   pcfg.threads = 4;
-  pcfg.work_stealing = true;
   core::QueryPipeline pipeline(engine, backend, pcfg);
   BatchRun run;
   Timer wall;

@@ -10,7 +10,7 @@
 #include <iostream>
 
 #include "common.hpp"
-#include "core/ball_cache.hpp"
+#include "core/sharded_ball_cache.hpp"
 #include "hw/farm.hpp"
 
 namespace meloppr::bench {
@@ -67,8 +67,8 @@ int run() {
       // BFS cost is device-independent).
       double bfs_cached_total = 0.0;
       {
-        core::BallCache cache(g, 512u << 20);
-        engine.set_ball_cache(&cache);
+        core::ShardedBallCache cache(g, 512u << 20);
+        engine.set_shared_ball_cache(&cache);
         hw::FpgaFarm cached_farm(devices, acfg, quant);
         // Warm pass fills the cache (a serving system is warm in steady
         // state); the measured pass is the second one.
@@ -79,7 +79,7 @@ int run() {
           core::QueryResult r = engine.query(seed, cached_farm, agg);
           bfs_cached_total += r.stats.bfs_seconds();
         }
-        engine.set_ball_cache(nullptr);
+        engine.set_shared_ball_cache(nullptr);
       }
 
       const double n = static_cast<double>(query_seeds.size());

@@ -23,8 +23,8 @@
 //                 independent (linear decomposition), so this is the
 //                 throughput a T-core PS with T devices would see.
 //
-// Scores are bit-identical across T (the batch path keeps the serial DFS
-// schedule per query), so the sweep measures scheduling, not approximation.
+// Scores are bit-identical across T (every query is reduced in the serial
+// DFS order), so the sweep measures scheduling, not approximation.
 //
 //   MELOPPR_SEEDS   queries in the stream       (default 48)
 //   MELOPPR_SCALE   graph-size multiplier        (default 1)
@@ -136,14 +136,12 @@ int run() {
                "count or BFS bandwidth saturates. Wall q/s tracks the model "
                "only when the host has that many real cores.\n\n";
 
-  // --- Aggregator pooling & mode A/B (ROADMAP: aggregator reuse across a
-  // batch; top-c·k aggregation in the pipeline). Same stream, repeated to
-  // amplify per-query construct/teardown cost; pooled arenas keep each
-  // worker's storage warm across queries (hash-map buckets for exact,
-  // fixed BRAM slots for bounded), so the exact rows differ only by malloc
-  // churn, and the bounded row shows the c·k memory envelope riding the
-  // same batch path. Deeper bounded A/B (recall, thread sweep, memory
-  // gate) lives in bench_topck_pipeline.
+  // --- Aggregation mode A/B (top-c·k aggregation in the pipeline). Same
+  // stream, repeated; pooled arenas keep each worker's storage warm across
+  // queries (hash-map buckets for exact, fixed BRAM slots for bounded), and
+  // the bounded row shows the c·k memory envelope riding the same batch
+  // path. Deeper bounded A/B (recall, thread sweep, memory gate) lives in
+  // bench_topck_pipeline.
   std::vector<graph::NodeId> repeated;
   repeated.reserve(stream.size() * 4);
   for (int rep = 0; rep < 4; ++rep) {
@@ -156,19 +154,16 @@ int run() {
 
   struct AggRow {
     const char* name;
-    bool pooled;
     bool bounded;
   };
-  const AggRow agg_rows[] = {{"per-query exact", false, false},
-                             {"pooled exact", true, false},
-                             {"pooled bounded c=10", true, true}};
+  const AggRow agg_rows[] = {{"pooled exact", false},
+                             {"pooled bounded c=10", true}};
   TablePrinter pool_table({"aggregators", "threads", "wall (s)", "wall q/s",
                            "arena reuses", "peak agg entries", "evictions"});
   for (const AggRow& row : agg_rows) {
     core::CpuBackend cpu(cfg.alpha);
     core::PipelineConfig pcfg;
     pcfg.threads = max_threads;
-    pcfg.pool_aggregators = row.pooled;
     pcfg.prefetch = false;  // isolate the aggregator effect
     core::QueryPipeline pipeline(row.bounded ? bounded_engine : engine, cpu,
                                  pcfg);
@@ -179,16 +174,14 @@ int run() {
     pool_table.add_row(
         {row.name, std::to_string(max_threads), fmt_fixed(seconds, 3),
          fmt_fixed(static_cast<double>(served) / seconds, 1),
-         row.pooled ? std::to_string(pipeline.aggregator_pool()->reuses())
-                    : "-",
+         std::to_string(pipeline.aggregator_pool().reuses()),
          std::to_string(batch.peak_aggregator_entries),
          row.bounded ? std::to_string(batch.aggregator_evictions) : "-"});
   }
   std::cout << pool_table.ascii() << '\n'
-            << "reading: pooled rows reuse warm arenas (clear() keeps the "
-               "storage), so the exact-row gap is pure allocation churn; "
-               "the bounded row caps every query's score table at c*k "
-               "entries — the paper's BRAM envelope — on the same "
+            << "reading: both rows reuse warm arenas (clear() keeps the "
+               "storage); the bounded row caps every query's score table "
+               "at c*k entries — the paper's BRAM envelope — on the same "
                "work-stealing batch path.\n";
   return 0;
 }

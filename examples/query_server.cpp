@@ -5,15 +5,15 @@
 // A stream of queries with a skewed (popular-seed-heavy) distribution hits
 // the same MeLoPPR engine four ways:
 //   * serial, cold           — the baseline single-threaded engine;
-//   * serial + ball cache    — BFS time converted into memory (the LRU
-//                              ball cache; single-threaded by design);
+//   * serial + ball cache    — BFS time converted into memory (the
+//                              sharded LRU ball cache);
 //   * pipeline, T workers    — QueryPipeline::query_batch, the throughput
-//                              path: queries run concurrently, scores stay
-//                              bit-identical to the serial engine;
+//                              path: work-stealing workers run queries
+//                              concurrently, scores stay bit-identical to
+//                              the serial engine;
 //   * pipeline + serving stack — the concurrent layer: sharded ball cache
-//                              shared by all workers, stage-lookahead
-//                              prefetch hiding BFS behind diffusion, and
-//                              work-stealing across queries.
+//                              shared by all workers and stage-lookahead
+//                              prefetch hiding BFS behind diffusion.
 // The report shows tail latency, throughput, and what each configuration
 // spends (cache memory vs cores) — the serving-time face of the paper's
 // memory↔latency trade-off, plus the parallelism its Sec. VI-C future work
@@ -28,7 +28,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "core/ball_cache.hpp"
 #include "core/engine.hpp"
 #include "core/pipeline.hpp"
 #include "core/serving.hpp"
@@ -101,9 +100,9 @@ int main() {
   };
 
   // --- Serial engine, cold and with byte-budgeted ball caches. ---
-  const auto serve_serial = [&](core::BallCache* cache,
+  const auto serve_serial = [&](core::ShardedBallCache* cache,
                                 const std::string& name) {
-    engine.set_ball_cache(cache);
+    engine.set_shared_ball_cache(cache);
     Samples latency_ms;
     double bfs_s = 0.0;
     double total_s = 0.0;
@@ -116,7 +115,7 @@ int main() {
       total_s += r.stats.service_seconds();
     }
     const double wall_s = wall.elapsed_seconds();
-    engine.set_ball_cache(nullptr);
+    engine.set_shared_ball_cache(nullptr);
     add_row(name, latency_ms, wall_s, bfs_s, total_s,
             cache != nullptr ? fmt_percent(cache->hit_rate()) : "-",
             cache != nullptr
@@ -127,14 +126,16 @@ int main() {
   };
 
   serve_serial(nullptr, "serial, cold");
-  core::BallCache small_cache(g, 8u << 20);
+  // One shard: a single-threaded server needs no lock striping, and the
+  // whole budget stays one LRU (no per-shard cap on ball size).
+  core::ShardedBallCache small_cache(g, 8u << 20, 1);
   serve_serial(&small_cache, "serial, 8 MB ball cache");
-  core::BallCache big_cache(g, 64u << 20);
+  core::ShardedBallCache big_cache(g, 64u << 20, 1);
   serve_serial(&big_cache, "serial, 64 MB ball cache");
 
   // --- Pipeline: the same stream served by T concurrent workers, bare
-  //     (PR 1 behavior), with the full serving stack (sharded cache +
-  //     stage-lookahead prefetch + work stealing), and with the serving
+  //     (no cache, no prefetch), with the full serving stack (sharded
+  //     cache + stage-lookahead prefetch), and with the serving
   //     stack plus bounded top-c·k aggregation (the paper's BRAM memory
   //     envelope per in-flight query, scores bit-identical to the serial
   //     bounded engine). ---
@@ -158,7 +159,6 @@ int main() {
     // production CPU-only server keeps the default (throttled) and relies
     // on the cache alone.
     pcfg.prefetch_throttle = false;
-    pcfg.work_stealing = serving_stack;
     core::ShardedBallCache shared_cache(g, 64u << 20, 0, admission);
     if (serving_stack) eng.set_shared_ball_cache(&shared_cache);
     core::QueryPipeline pipeline(eng, backend, pcfg);
@@ -202,7 +202,7 @@ int main() {
                 : "-",
             serving_stack ? fmt_fixed(batch.prefetch_hidden_seconds, 2)
                           : "-",
-            serving_stack ? std::to_string(batch.stolen_tasks) : "-",
+            std::to_string(batch.stolen_tasks),
             std::to_string(batch.peak_aggregator_entries),
             bounded ? std::to_string(batch.aggregator_evictions) : "-");
   };
@@ -317,7 +317,6 @@ int main() {
     fx_engine.set_shared_ball_cache(&shared_cache);
     core::PipelineConfig pcfg;
     pcfg.threads = 4;
-    pcfg.work_stealing = true;
     core::QueryPipeline pipeline(fx_engine, failover, pcfg);
     core::QueryPipeline::BatchStats batch;
     Timer wall;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/concurrent_topck.hpp"
 #include "util/assert.hpp"
 
 namespace meloppr::core {
@@ -69,11 +68,6 @@ std::uint32_t TopCKAggregator::settle_min() {
   // stale *low*). Settling in key order therefore meets only stale or
   // re-tenanted snapshots before the first accurate one, and the first
   // accurate snapshot is the true minimum.
-  //
-  // ConcurrentTopCKAggregator::pop_min_locked (concurrent_topck.cpp)
-  // carries a per-shard copy of this invariant over atomic scores — a
-  // change to the settle/refresh rule or the growth guard here must be
-  // mirrored there.
   for (;;) {
     if (heap_.empty()) rebuild_heap();
     const HeapEntry e = heap_.front();
@@ -175,63 +169,6 @@ void TopCKAggregator::clear() {
   bound_ = -std::numeric_limits<double>::infinity();
 }
 
-StripedAggregator::StripedAggregator(std::size_t stripes) {
-  if (stripes == 0) {
-    throw std::invalid_argument("StripedAggregator: need at least one stripe");
-  }
-  stripes_.reserve(stripes);
-  for (std::size_t s = 0; s < stripes; ++s) {
-    stripes_.push_back(std::make_unique<Stripe>());
-  }
-}
-
-void StripedAggregator::add(graph::NodeId node, double delta) {
-  Stripe& stripe = stripe_for(node);
-  util::MutexLock lock(stripe.mu);
-  stripe.scores[node] += delta;
-}
-
-std::vector<ScoredNode> StripedAggregator::top(std::size_t k) const {
-  std::vector<ScoredNode> all;
-  for (const auto& stripe : stripes_) {
-    util::MutexLock lock(stripe->mu);
-    all.reserve(all.size() + stripe->scores.size());
-    for (const auto& [node, score] : stripe->scores) {
-      all.push_back({node, score});
-    }
-  }
-  return ppr::top_k(std::move(all), k);
-}
-
-std::size_t StripedAggregator::entries() const {
-  std::size_t n = 0;
-  for (const auto& stripe : stripes_) {
-    util::MutexLock lock(stripe->mu);
-    n += stripe->scores.size();
-  }
-  return n;
-}
-
-std::size_t StripedAggregator::bytes() const {
-  // Same per-entry model as ExactAggregator, plus the stripe array.
-  const std::size_t per_entry =
-      sizeof(graph::NodeId) + sizeof(double) + 2 * sizeof(void*);
-  std::size_t total = stripes_.size() * sizeof(Stripe);
-  for (const auto& stripe : stripes_) {
-    util::MutexLock lock(stripe->mu);
-    total += stripe->scores.bucket_count() * sizeof(void*) +
-             stripe->scores.size() * per_entry;
-  }
-  return total;
-}
-
-void StripedAggregator::clear() {
-  for (const auto& stripe : stripes_) {
-    util::MutexLock lock(stripe->mu);
-    stripe->scores.clear();
-  }
-}
-
 std::unique_ptr<ScoreAggregator> make_serial_aggregator(AggregationMode mode,
                                                         std::size_t k,
                                                         std::size_t c,
@@ -241,16 +178,6 @@ std::unique_ptr<ScoreAggregator> make_serial_aggregator(AggregationMode mode,
                                              epsilon);
   }
   return std::make_unique<ExactAggregator>();
-}
-
-std::unique_ptr<ScoreAggregator> make_concurrent_aggregator(
-    AggregationMode mode, std::size_t k, std::size_t c, std::size_t ways,
-    double epsilon) {
-  if (mode == AggregationMode::kBounded) {
-    return std::make_unique<ConcurrentTopCKAggregator>(
-        std::max<std::size_t>(1, c * k), ways, epsilon);
-  }
-  return std::make_unique<StripedAggregator>(ways == 0 ? 16 : ways);
 }
 
 AggregatorPool::AggregatorPool(std::size_t slots, Factory factory)

@@ -12,16 +12,12 @@
 //                      contributions to evicted nodes are lost — the source
 //                      of the <0.2% (c>8) / >3% (c<4) precision loss the
 //                      paper measures. We default to c=10 as the paper does.
-//   StripedAggregator — the QueryPipeline's concurrent path: exact scores
-//                      sharded across mutex-striped maps so worker threads
-//                      add() in parallel with low contention.
-//   ConcurrentTopCKAggregator (concurrent_topck.hpp) — the thread-safe
-//                      bounded table: TopCK's BRAM strategy sharded for
-//                      concurrent add(), with a lock-free fast path for
-//                      resident updates.
 //
-// make_serial_aggregator / make_concurrent_aggregator map an
-// AggregationMode (config.hpp) onto these four.
+// Every reduction is serial: one thread applies one query's contributions
+// in the engine's depth-first order, so results are bit-identical however
+// the query's tasks were scheduled. make_serial_aggregator maps an
+// AggregationMode (config.hpp) onto the two; AggregatorPool recycles them
+// across the queries of a batch.
 #pragma once
 
 #include <atomic>
@@ -179,58 +175,13 @@ class TopCKAggregator final : public ScoreAggregator {
   std::vector<HeapEntry> heap_;  ///< lazy min-heap over live scores
 };
 
-/// Exact aggregation sharded across `stripes` independent score maps, each
-/// behind its own mutex (stripe = hash(node) % stripes). add() is safe from
-/// any number of threads and contends only within a stripe; sums are exact
-/// because every node lives in exactly one stripe, but the *order* in which
-/// concurrent deltas land is scheduling-dependent, so totals can differ
-/// from a serial run by floating-point rounding (~1e-15 relative). The
-/// read-side calls (top/entries/bytes/clear) lock every stripe and must not
-/// race in-flight add() bursts the caller still awaits.
-class StripedAggregator final : public ScoreAggregator {
- public:
-  /// Throws std::invalid_argument when `stripes` is zero.
-  explicit StripedAggregator(std::size_t stripes = 16);
-
-  void add(graph::NodeId node, double delta) override;
-  [[nodiscard]] std::vector<ScoredNode> top(std::size_t k) const override;
-  [[nodiscard]] std::size_t entries() const override;
-  [[nodiscard]] std::size_t bytes() const override;
-  void clear() override;
-
-  [[nodiscard]] std::size_t stripe_count() const { return stripes_.size(); }
-
- private:
-  struct Stripe {
-    mutable util::Mutex mu;
-    ppr::ScoreMap scores MELOPPR_GUARDED_BY(mu);
-  };
-  [[nodiscard]] Stripe& stripe_for(graph::NodeId node) const {
-    return *stripes_[static_cast<std::size_t>(node) % stripes_.size()];
-  }
-
-  /// unique_ptr keeps Stripe addresses stable and sidesteps mutex's
-  /// non-movability.
-  std::vector<std::unique_ptr<Stripe>> stripes_;
-};
-
-/// Builds the aggregator for a serial reduction schedule (Engine::query's
-/// DFS drain, the pipeline's deterministic task-order reduction, and the
-/// per-query replay of the stealing batch): an exact map, or the bounded
-/// c·k table whose results are bit-identical to the serial engine for the
-/// same operation order. `epsilon` is the bounded table's eviction
+/// Builds the aggregator for a serial reduction (Engine::query's DFS drain
+/// and the pipeline's per-query replay of it): an exact map, or the
+/// bounded c·k table whose results are bit-identical to the serial engine
+/// for the same operation order. `epsilon` is the bounded table's eviction
 /// hysteresis (MelopprConfig::topck_epsilon; ignored in exact mode).
 [[nodiscard]] std::unique_ptr<ScoreAggregator> make_serial_aggregator(
     AggregationMode mode, std::size_t k, std::size_t c,
-    double epsilon = 0.0);
-
-/// Builds the aggregator for concurrent streaming add() from many worker
-/// threads (the pipeline's non-deterministic reduction): mutex-striped
-/// exact maps, or the sharded concurrent bounded table. `ways` is the
-/// stripe/shard count (0 → implementation default); `epsilon` the bounded
-/// table's eviction hysteresis (ignored in exact mode).
-[[nodiscard]] std::unique_ptr<ScoreAggregator> make_concurrent_aggregator(
-    AggregationMode mode, std::size_t k, std::size_t c, std::size_t ways,
     double epsilon = 0.0);
 
 /// Per-worker arena of reusable serial aggregators (ROADMAP: "Aggregator

@@ -24,9 +24,7 @@ enum class AggregationMode {
   /// (the CPU implementation's strategy).
   kExact,
   /// Fixed c·k-entry table with min-eviction — the FPGA's BRAM strategy:
-  /// bounded memory, small precision loss for small c. Serial schedules
-  /// use TopCKAggregator; concurrent streaming uses
-  /// ConcurrentTopCKAggregator (per-shard eviction boundary).
+  /// bounded memory, small precision loss for small c (TopCKAggregator).
   kBounded,
 };
 
@@ -49,26 +47,10 @@ enum class CacheAdmission {
 };
 
 /// Concurrency surface of the QueryPipeline (core/pipeline.hpp): how many
-/// workers, and how their score contributions are reduced.
+/// workers, and how the stage-lookahead prefetcher feeds them.
 struct PipelineConfig {
   /// Worker threads; 0 → std::thread::hardware_concurrency() (min 1).
   std::size_t threads = 0;
-
-  /// Reduction mode for the stage-parallel single-query schedule.
-  /// true  → workers only *compute*; the coordinator applies every task's
-  ///         contributions in task order, so scores are identical for any
-  ///         thread count (deterministic reduction).
-  /// false → workers add concurrently through a StripedAggregator: faster
-  ///         under contention, but the floating-point sum order is
-  ///         scheduling-dependent (~1e-15 relative jitter between runs).
-  bool deterministic_reduction = true;
-
-  /// Stripe count for the concurrent exact aggregation path.
-  std::size_t aggregator_stripes = 16;
-
-  /// Shard count for the concurrent bounded (top-c·k) aggregation path;
-  /// 0 → one shard per worker thread.
-  std::size_t topck_shards = 0;
 
   /// Stage-lookahead BFS prefetch. When the engine has a shared
   /// (ShardedBallCache) ball cache installed, each finished stage task's
@@ -152,18 +134,6 @@ struct PipelineConfig {
   /// demand fetch pays its own BFS.
   bool prefetch_wait_meter = true;
 
-  /// query_batch scheduling. true → per-stage tasks of every query go into
-  /// per-worker deques and idle workers steal from the busiest tails, so
-  /// one query with a huge stage-2 fan-out cannot idle the pool; scores
-  /// stay bit-identical to Engine::query (reduction replays the serial DFS
-  /// order). false → each query is pinned to one worker (PR 1 behavior).
-  bool work_stealing = true;
-
-  /// Reuse per-worker ExactAggregator arenas across the queries of a batch
-  /// (clear() keeps the hash-map buckets) instead of construct/teardown per
-  /// query — cuts malloc churn at high thread counts.
-  bool pool_aggregators = true;
-
   [[nodiscard]] std::size_t resolved_threads() const {
     if (threads != 0) return threads;
     const unsigned hw = std::thread::hardware_concurrency();
@@ -177,10 +147,6 @@ struct PipelineConfig {
   }
 
   void validate() const {
-    if (aggregator_stripes == 0) {
-      throw std::invalid_argument(
-          "PipelineConfig: aggregator_stripes must be positive");
-    }
     if (adaptive_root_prefetch && root_prefetch_window > 0 &&
         root_prefetch_max_window == 0) {
       throw std::invalid_argument(

@@ -98,13 +98,12 @@ StageOutcome Engine::run_task(const StageTask& task, DiffusionBackend& backend,
   StageStats& st = out.stats;
 
   // --- 1. CPU-side sub-graph preparation (the PS role in Fig. 4). ---
-  // With a ball cache installed (sharded wins over the single-threaded
-  // one), extraction is served (and charged) by the cache; otherwise the
-  // ball is owned by this task and freed on return. The sharded cache's
-  // shared_ptr pins the ball against concurrent eviction for the scope of
-  // this task. bfs_seconds is the wall time this task *waited* for its
-  // ball — near zero on a cache hit, which is exactly how prefetching
-  // shows up in the Fig. 7 split.
+  // With a ball cache installed, extraction is served (and charged) by the
+  // cache; otherwise the ball is owned by this task and freed on return.
+  // The cache's shared_ptr pins the ball against concurrent eviction for
+  // the scope of this task. bfs_seconds is the wall time this task
+  // *waited* for its ball — near zero on a cache hit, which is exactly how
+  // prefetching shows up in the Fig. 7 split.
   // Extraction is retried against *environmental* failures (a flaky
   // extractor or storage layer) up to config_.extraction_attempts; caller
   // errors (std::invalid_argument — a bad seed is bad on every attempt)
@@ -128,11 +127,6 @@ StageOutcome Engine::run_task(const StageTask& task, DiffusionBackend& backend,
         pinned = std::move(fetch.ball);
         ball_ptr = pinned.get();
         meter.set("ball_cache", shared_cache_->bytes());
-      } else if (cache_ != nullptr) {
-        const std::size_t hits_before = cache_->hits();
-        ball_ptr = &cache_->get(task.root, length);
-        cache_->hits() > hits_before ? ++st.cache_hits : ++st.cache_misses;
-        meter.set("ball_cache", cache_->bytes());
       } else if (dynamic_ != nullptr) {
         // Cacheless dynamic extraction: the delta overlay serves the
         // current state directly (the serial reference path the

@@ -30,8 +30,9 @@
 //     stack, nothing more.
 //   * core::QueryPipeline (pipeline.hpp) — the linear decomposition makes
 //     every same-stage task independent (the paper's Sec. VI-C future work),
-//     so the pipeline materializes each stage frontier and dispatches it
-//     across a thread pool, with a deterministic task-order reduction.
+//     so the pipeline's work-stealing workers run the tasks of many queries
+//     out of order, then reduce each query by replaying the serial
+//     depth-first order (scores stay bit-identical).
 //
 // The ball and its score vectors are freed when run_task returns, so the
 // peak footprint is one ball at a time (per worker) plus the aggregator —
@@ -46,7 +47,6 @@
 
 #include "core/aggregator.hpp"
 #include "core/backend.hpp"
-#include "core/ball_cache.hpp"
 #include "core/config.hpp"
 #include "core/query_stats.hpp"
 #include "core/sharded_ball_cache.hpp"
@@ -111,8 +111,8 @@ class Engine {
   /// Full-control query: caller supplies the diffusion backend (CPU or
   /// simulated FPGA) and the aggregation strategy (exact map or top-c·k
   /// table). The aggregator is cleared first. Thread-safe for concurrent
-  /// calls when the backend is thread-safe (or distinct per call), each call
-  /// uses its own aggregator, and no ball cache is installed.
+  /// calls when the backend is thread-safe (or distinct per call) and each
+  /// call uses its own aggregator.
   QueryResult query(graph::NodeId seed, DiffusionBackend& backend,
                     ScoreAggregator& aggregator) const;
 
@@ -120,26 +120,19 @@ class Engine {
   /// and next-stage selection. Transient footprints (ball, device working
   /// set) are charged to `meter`. Does not read or write any engine mutable
   /// state, so concurrent calls are safe whenever the backend tolerates them
-  /// and no ball cache is installed (the cache is single-threaded).
+  /// (the ball cache is thread-safe).
   StageOutcome run_task(const StageTask& task, DiffusionBackend& backend,
                         MemoryMeter& meter) const;
 
   [[nodiscard]] const MelopprConfig& config() const { return config_; }
   [[nodiscard]] const graph::Graph& graph() const { return *graph_; }
 
-  /// Serves all ball extractions through `cache` (nullptr restores direct
-  /// extraction). The cache must be built over the same graph and outlive
+  /// Serves all ball extractions through the thread-safe sharded cache
+  /// (nullptr restores direct extraction) — safe under any number of
+  /// workers, and the storage side of the pipeline's stage-lookahead
+  /// prefetcher. The cache must be built over the same graph and outlive
   /// the engine's queries; its footprint is charged to the query's memory
   /// peak under the "ball_cache" category instead of per-stage "ball".
-  /// A cache pins the engine to serial use: it is not thread-safe.
-  void set_ball_cache(BallCache* cache) { cache_ = cache; }
-  [[nodiscard]] BallCache* ball_cache() const { return cache_; }
-
-  /// Serves all ball extractions through the thread-safe sharded cache
-  /// (nullptr restores direct extraction) — the concurrent alternative to
-  /// set_ball_cache, safe under any number of workers, and the storage side
-  /// of the pipeline's stage-lookahead prefetcher. When both caches are
-  /// installed the sharded one wins. Same lifetime/graph contract as above.
   void set_shared_ball_cache(ShardedBallCache* cache) {
     shared_cache_ = cache;
   }
@@ -160,8 +153,8 @@ class Engine {
   }
 
   /// The stage-0 task for `seed`, stamped with the current graph version —
-  /// every scheduler (the serial stack, the stage-parallel frontier, the
-  /// stealing stream) creates its root tasks here so admission stamping
+  /// both schedulers (the serial stack and the stealing stream) create
+  /// their root tasks here so admission stamping
   /// cannot diverge between them.
   [[nodiscard]] StageTask make_root_task(graph::NodeId seed) const {
     return {seed, 1.0, 0, dynamic_ == nullptr ? 0 : dynamic_->version()};
@@ -170,7 +163,6 @@ class Engine {
  private:
   const graph::Graph* graph_;
   MelopprConfig config_;
-  BallCache* cache_ = nullptr;
   ShardedBallCache* shared_cache_ = nullptr;
   const graph::DynamicGraph* dynamic_ = nullptr;
 };

@@ -5,7 +5,6 @@
 #include <bit>
 #include <cstdint>
 #include <exception>
-#include <optional>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -64,7 +63,15 @@ QueryPipeline::QueryPipeline(const Engine& engine, DiffusionBackend& backend,
     : engine_(&engine),
       config_(config),
       threads_(config.resolved_threads()),
-      backend_offloads_(backend.offloads_compute()) {
+      backend_offloads_(backend.offloads_compute()),
+      // Arenas follow the engine's aggregation mode: exact maps, or bounded
+      // c·k tables whose clear() keeps the fixed slots warm.
+      agg_pool_(threads_,
+                [mode = engine.config().aggregation, k = engine.config().k,
+                 c = engine.config().topck_c,
+                 eps = engine.config().topck_epsilon] {
+                  return make_serial_aggregator(mode, k, c, eps);
+                }) {
   config_.validate();
   if (backend.thread_safe()) {
     shared_backend_ = &backend;
@@ -73,16 +80,6 @@ QueryPipeline::QueryPipeline(const Engine& engine, DiffusionBackend& backend,
     for (std::size_t w = 0; w < threads_; ++w) {
       clones_.push_back(backend.clone());
     }
-  }
-  if (config_.pool_aggregators) {
-    // Arenas follow the engine's aggregation mode: exact maps, or bounded
-    // c·k tables whose clear() keeps the fixed slots warm.
-    const MelopprConfig& ecfg = engine_->config();
-    agg_pool_ = std::make_unique<AggregatorPool>(
-        threads_, [mode = ecfg.aggregation, k = ecfg.k, c = ecfg.topck_c,
-                   eps = ecfg.topck_epsilon] {
-          return make_serial_aggregator(mode, k, c, eps);
-        });
   }
   workers_.reserve(threads_);
   for (std::size_t w = 0; w < threads_; ++w) {
@@ -145,13 +142,6 @@ ShardedBallCache* QueryPipeline::activate_lookahead() {
   return cache;
 }
 
-void QueryPipeline::check_cache_free() const {
-  MELO_CHECK_MSG(engine_->ball_cache() == nullptr || threads_ == 1,
-                 "QueryPipeline: the engine's BallCache is single-threaded; "
-                 "remove it (set_ball_cache(nullptr)) or install a "
-                 "ShardedBallCache for parallel use");
-}
-
 void QueryPipeline::worker_loop(std::size_t worker_id) {
   for (;;) {
     std::function<void(std::size_t)> job;
@@ -207,207 +197,16 @@ void QueryPipeline::run_jobs(
   if (latch->error != nullptr) std::rethrow_exception(latch->error);
 }
 
-namespace {
-
-/// Scope guard: the lookahead contract ("no prefetch thread touches any
-/// cache passed earlier after query()/query_batch() returns", pins expire
-/// with the batch) must hold on the throw path too — a caller that tears
-/// the cache down after catching a batch error would otherwise race live
-/// prefetch threads. Quiesce is idempotent (the success paths still
-/// quiesce explicitly before reading their stat deltas). drop_pins() is
-/// cache-global, so it only runs when the LAST concurrent batch on this
-/// pipeline drains — one batch finishing must not discard a still-running
-/// batch's live pins.
-class LookaheadDrain {
- public:
-  LookaheadDrain(BallPrefetcher* prefetcher, ShardedBallCache* cache,
-                 std::atomic<std::size_t>* active_batches)
-      : prefetcher_(prefetcher),
-        cache_(cache),
-        active_batches_(active_batches) {}
-  LookaheadDrain(const LookaheadDrain&) = delete;
-  LookaheadDrain& operator=(const LookaheadDrain&) = delete;
-  ~LookaheadDrain() {
-    if (prefetcher_ != nullptr) prefetcher_->quiesce();
-    if (cache_ != nullptr &&
-        active_batches_->fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      cache_->drop_pins();
-    }
-  }
-
- private:
-  BallPrefetcher* prefetcher_;
-  ShardedBallCache* cache_;
-  std::atomic<std::size_t>* active_batches_;
-};
-
-}  // namespace
-
 QueryResult QueryPipeline::query(graph::NodeId seed) {
-  check_cache_free();
-  QueryResult result;
-  result.stats.stages.resize(engine_->config().num_stages());
-
-  // Per-worker state: transient-footprint meters and diffusion busy time.
-  // A worker runs one job at a time, so its slot needs no lock; the
-  // completion latch orders its writes before the coordinator's reads.
-  std::vector<MemoryMeter> meters(threads_);
-  std::vector<double> busy_seconds(threads_, 0.0);
-  // One flag per worker that ran any of this query's tasks: threads_used
-  // reports distinct EXECUTING workers (the stealing scheduler's popcount
-  // semantics), not the pool size — a 2-task query on a 16-thread pool
-  // says 2, and speedup math against it stops flattering the pool.
-  std::vector<std::uint8_t> worker_used(threads_, 0);
-
-  // Stage-lookahead: children discovered by a finishing task are handed to
-  // the prefetch threads immediately, so their balls stream into the shared
-  // cache while the REST of this stage's diffusions still run.
-  ShardedBallCache* lookahead = activate_lookahead();
-  const double hidden_before =
-      prefetcher_ != nullptr ? prefetcher_->hidden_seconds() : 0.0;
-  LookaheadDrain drain(lookahead != nullptr ? prefetcher_.get() : nullptr,
-                       /*cache=*/nullptr,  // query() installs no pins
-                       /*active_batches=*/nullptr);
-
-  const bool deterministic = config_.deterministic_reduction;
-  const MelopprConfig& ecfg = engine_->config();
-  std::optional<AggregatorPool::Lease> lease;
-  std::unique_ptr<ScoreAggregator> owned_aggregator;
-  ScoreAggregator* aggregator_ptr;
-  if (deterministic && agg_pool_ != nullptr) {
-    lease.emplace(agg_pool_->acquire(0));
-    aggregator_ptr = &**lease;
-  } else if (deterministic) {
-    owned_aggregator = make_serial_aggregator(
-        ecfg.aggregation, ecfg.k, ecfg.topck_c, ecfg.topck_epsilon);
-    aggregator_ptr = owned_aggregator.get();
-  } else {
-    // Concurrent streaming reduction: striped exact maps, or the sharded
-    // bounded table (one shard per worker by default).
-    owned_aggregator = make_concurrent_aggregator(
-        ecfg.aggregation, ecfg.k, ecfg.topck_c,
-        ecfg.aggregation == AggregationMode::kBounded
-            ? (config_.topck_shards != 0 ? config_.topck_shards : threads_)
-            : config_.aggregator_stripes,
-        ecfg.topck_epsilon);
-    aggregator_ptr = owned_aggregator.get();
-  }
-  ScoreAggregator& aggregator = *aggregator_ptr;
-
-  Timer total;
-  // The coordinator's own footprint: the frontier plus every outstanding
-  // outcome buffer of the stage (they all coexist until the reduction).
-  MemoryMeter coordinator_meter;
-  std::vector<StageTask> frontier;
-  frontier.push_back(engine_->make_root_task(seed));
-  result.stats.graph_version = frontier.back().version;
-  while (!frontier.empty()) {
-    // Dispatch: every task in the frontier is independent (linearity of the
-    // decomposition), so BFS + diffusion fan out across the pool.
-    std::vector<StageOutcome> outcomes(frontier.size());
-    run_jobs(frontier.size(), [&](std::size_t i, std::size_t w) {
-      worker_used[w] = 1;  // a worker runs one job at a time: no race
-      const StageTask& task = frontier[i];
-      if (!(task.mass > 0.0)) return;  // skip, as the serial schedule does
-      StageOutcome out = engine_->run_task(task, backend_for(w), meters[w]);
-      meters[w].set("stage_buffers", 0);  // ownership moves to outcomes[i]
-      busy_seconds[w] +=
-          out.stats.compute_seconds + out.stats.transfer_seconds;
-      if (lookahead != nullptr) {
-        for (const StageTask& child : out.children) {
-          prefetcher_->enqueue(
-              *lookahead, child.root,
-              engine_->config().stage_lengths[child.stage]);
-        }
-      }
-      if (!deterministic && !out.failed) {
-        // Concurrent reduction: stream this task's deltas straight into the
-        // striped aggregator (sums are exact per node; order is not). A
-        // failed task streams nothing — its parked parent mass stays in
-        // place (see StageOutcome::failed).
-        if (task.stage > 0) aggregator.add(task.root, -task.mass);
-        for (const auto& [node, delta] : out.contributions) {
-          aggregator.add(node, delta);
-        }
-        out.contributions.clear();
-      }
-      outcomes[i] = std::move(out);
-    });
-
-    std::size_t outcome_bytes =
-        vector_bytes(frontier) + vector_bytes(outcomes);
-    for (const StageOutcome& out : outcomes) {
-      outcome_bytes +=
-          vector_bytes(out.contributions) + vector_bytes(out.children);
-    }
-    coordinator_meter.set("frontier_buffers", outcome_bytes);
-
-    // Reduce in task order — deterministic regardless of which worker ran
-    // what — and splice the children into the next frontier.
-    std::vector<StageTask> next;
-    for (std::size_t i = 0; i < frontier.size(); ++i) {
-      const StageTask& task = frontier[i];
-      StageOutcome& out = outcomes[i];
-      result.stats.stages[task.stage].merge(out.stats);
-      if (deterministic && task.mass > 0.0 && !out.failed) {
-        if (task.stage > 0) aggregator.add(task.root, -task.mass);
-        for (const auto& [node, delta] : out.contributions) {
-          aggregator.add(node, delta);
-        }
-      }
-      next.insert(next.end(), out.children.begin(), out.children.end());
-    }
-    frontier = std::move(next);
-    coordinator_meter.set("frontier_buffers", vector_bytes(frontier));
-  }
-
-  result.top = aggregator.top(engine_->config().k);
-  result.stats.total_seconds = total.elapsed_seconds();
-  std::size_t used = 0;
-  for (const std::uint8_t flag : worker_used) used += flag;
-  result.stats.threads_used = std::max<std::size_t>(used, 1);
-  result.stats.diffusion_serial_seconds =
-      result.stats.compute_seconds() + result.stats.transfer_seconds();
-  // Worker-level makespan, floored by the backend's own execution slots: a
-  // shared farm with D < T devices cannot complete faster than serial/D no
-  // matter how its seconds were attributed across dispatching workers.
-  const std::size_t slots =
-      std::min(threads_, shared_backend_ != nullptr
-                             ? shared_backend_->max_concurrent_runs()
-                             : threads_);
-  result.stats.diffusion_makespan_seconds = std::max(
-      *std::max_element(busy_seconds.begin(), busy_seconds.end()),
-      result.stats.diffusion_serial_seconds / static_cast<double>(slots));
-  result.stats.aggregator_bytes = aggregator.bytes();
-  result.stats.aggregator_entries = aggregator.entries();
-  result.stats.aggregator_evictions = aggregator.evictions();
-  if (lookahead != nullptr) {
-    // Quiesce so no prefetch thread touches the cache after we return and
-    // the hidden-seconds delta is complete. Approximate under concurrent
-    // queries: the delta includes lookahead work triggered by overlapping
-    // calls on the same pipeline.
-    prefetcher_->quiesce();
-    result.stats.prefetch_hidden_seconds =
-        prefetcher_->hidden_seconds() - hidden_before;
-  }
-
-  // Aggregator first, then the worker peaks on top: the final score
-  // structure coexists with the in-flight balls, so the honest (upper
-  // bound) peak is their sum, not their max.
-  MemoryMeter merged;
-  merged.set("aggregator", aggregator.bytes());
-  merged.merge_peak(coordinator_meter);
-  for (const MemoryMeter& m : meters) merged.merge_peak(m);
-  result.stats.peak_bytes = merged.peak_bytes();
-  return result;
+  return std::move(query_batch(std::span<const graph::NodeId>(&seed, 1))
+                       .front());
 }
 
 namespace {
 
-/// Per-result accounting shared by the pinned batch path and query_stream:
-/// the per-query sums plus the arrival-stamped response-time distribution.
-/// Callers serialize add() themselves (the stream sink locks around it;
-/// the pinned path folds after its completion barrier).
+/// Per-result accounting of one query_stream call: the per-query sums plus
+/// the arrival-stamped response-time distribution. The stream sink
+/// serializes add() with its own lock.
 struct QueryTally {
   std::size_t queries = 0;
   std::size_t executed_tasks = 0;
@@ -482,9 +281,45 @@ struct QueryTally {
   }
 };
 
+/// Scope guard: the lookahead contract ("no prefetch thread touches any
+/// cache passed earlier after query_stream() returns", pins expire with the
+/// batch) must hold on the throw path too — a caller that tears the cache
+/// down after catching a batch error would otherwise race live prefetch
+/// threads. Quiesce is idempotent (the success path still quiesces
+/// explicitly before reading its stat deltas). drop_pins() is cache-global,
+/// so it only runs when the LAST concurrent batch on this pipeline drains —
+/// one batch finishing must not discard a still-running batch's live pins.
+/// A null cache (lookahead inactive) makes the guard a no-op.
+class LookaheadDrain {
+ public:
+  LookaheadDrain(BallPrefetcher* prefetcher, ShardedBallCache* cache,
+                 std::atomic<std::size_t>& active_batches)
+      : prefetcher_(prefetcher),
+        cache_(cache),
+        active_batches_(active_batches) {
+    if (cache_ != nullptr) {
+      active_batches_.fetch_add(1, std::memory_order_acq_rel);
+    }
+  }
+  LookaheadDrain(const LookaheadDrain&) = delete;
+  LookaheadDrain& operator=(const LookaheadDrain&) = delete;
+  ~LookaheadDrain() {
+    if (cache_ == nullptr) return;
+    prefetcher_->quiesce();
+    if (active_batches_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      cache_->drop_pins();
+    }
+  }
+
+ private:
+  BallPrefetcher* prefetcher_;
+  ShardedBallCache* cache_;
+  std::atomic<std::size_t>& active_batches_;
+};
+
 /// Serving-layer counters (cache + prefetcher + shared-backend health)
-/// measured as deltas around one batch/stream call: snapshot at
-/// construction, fill() writes current-minus-snapshot into BatchStats.
+/// measured as deltas around one stream call: snapshot at construction,
+/// fill() writes current-minus-snapshot into BatchStats.
 class ServingDeltas {
  public:
   ServingDeltas(ShardedBallCache* cache, BallPrefetcher* prefetcher,
@@ -549,97 +384,29 @@ class ServingDeltas {
 
 std::vector<QueryResult> QueryPipeline::query_batch(
     std::span<const graph::NodeId> seeds, BatchStats* batch_stats) {
-  check_cache_free();
-  if (config_.work_stealing && threads_ > 1 && seeds.size() > 1) {
-    // The stealing batch IS a pre-filled, already-closed seed stream: one
-    // scheduler serves closed batches and continuous ingest, and closed
-    // batches inherit the arrival-stamped attribution (every seed arrives
-    // at submission, so total_seconds spans submission→finalize and
-    // queue_seconds is the wait behind earlier seeds).
-    SeedStream stream;
-    stream.push_all(seeds);
-    stream.close();
-    std::vector<QueryResult> results(seeds.size());
-    query_stream(
-        stream,
-        [&results](std::size_t index, QueryResult&& r) {
-          // Stream indices are distinct: concurrent finalizes write
-          // disjoint slots, no lock needed.
-          results[index] = std::move(r);
-        },
-        batch_stats);
-    return results;
-  }
-
-  // Query-pinned scheduling (stealing off, one worker, or a single seed):
-  // each query keeps the serial depth-first schedule (scores bit-identical
-  // to Engine::query) on one worker; parallelism is across queries.
-  ShardedBallCache* lookahead = activate_lookahead();
-  // The wall clock starts AFTER activation so the first batch's q/s does
-  // not pay the one-time prefetch-thread spawn.
-  Timer wall;
-  if (lookahead != nullptr) {
-    active_batches_.fetch_add(1, std::memory_order_acq_rel);
-  }
-  LookaheadDrain drain(lookahead != nullptr ? prefetcher_.get() : nullptr,
-                       lookahead, &active_batches_);
-  ServingDeltas deltas(engine_->shared_ball_cache(), prefetcher_.get(),
-                       shared_backend_);
-
+  SeedStream stream;
+  stream.push_all(seeds);
+  stream.close();
   std::vector<QueryResult> results(seeds.size());
-  run_jobs(seeds.size(), [&](std::size_t i, std::size_t w) {
-    const double claim_seconds = wall.elapsed_seconds();
-    if (agg_pool_ != nullptr) {
-      AggregatorPool::Lease lease = agg_pool_->acquire(w);
-      results[i] = engine_->query(seeds[i], backend_for(w), *lease);
-    } else {
-      const MelopprConfig& ecfg = engine_->config();
-      const std::unique_ptr<ScoreAggregator> aggregator =
-          make_serial_aggregator(ecfg.aggregation, ecfg.k, ecfg.topck_c,
-                                 ecfg.topck_epsilon);
-      results[i] = engine_->query(seeds[i], backend_for(w), *aggregator);
-    }
-    // Arrival attribution: every seed of a closed batch arrived at
-    // submission (wall zero), so the response time runs to the finalize
-    // stamp and queue_seconds is how long the job sat behind earlier
-    // queries in the pool — same semantics as the stream scheduler.
-    results[i].stats.queue_seconds = claim_seconds;
-    results[i].stats.total_seconds = wall.elapsed_seconds();
-  });
-
-  // Quiesce before reading deltas (and before the caller may tear the
-  // cache down): queued lookahead from the batch's tail would otherwise
-  // keep prefetch threads touching the cache after we return. Unclaimed
-  // pins expire when the last concurrent batch drains (LookaheadDrain) —
-  // their speculation did not pay off, and holding them across batches
-  // would leak footprint.
-  if (lookahead != nullptr) prefetcher_->quiesce();
-
-  if (batch_stats != nullptr) {
-    *batch_stats = BatchStats{};  // caller may reuse one instance per batch
-    QueryTally tally;
-    for (const QueryResult& r : results) tally.add(r.stats);
-    tally.fill(*batch_stats);
-    batch_stats->queries = seeds.size();
-    batch_stats->wall_seconds = wall.elapsed_seconds();
-    deltas.fill(*batch_stats);
-    // No root lookahead on this path: telemetry fields stay zero.
-  }
+  query_stream(
+      stream,
+      [&results](std::size_t index, QueryResult&& r) {
+        // Stream indices are distinct: concurrent finalizes write disjoint
+        // slots, no lock needed.
+        results[index] = std::move(r);
+      },
+      batch_stats);
   return results;
 }
 
 void QueryPipeline::query_stream(SeedStream& stream,
                                  const ResultSink& on_result,
                                  BatchStats* batch_stats) {
-  check_cache_free();
   ShardedBallCache* lookahead = activate_lookahead();
-  // Wall clock after activation: first-call prefetch spawn is not billed.
+  // The wall clock starts AFTER activation so the first batch's q/s does
+  // not pay the one-time prefetch-thread spawn.
   Timer wall;
-  if (lookahead != nullptr) {
-    active_batches_.fetch_add(1, std::memory_order_acq_rel);
-  }
-  LookaheadDrain drain(lookahead != nullptr ? prefetcher_.get() : nullptr,
-                       lookahead, &active_batches_);
+  LookaheadDrain drain(prefetcher_.get(), lookahead, active_batches_);
   ServingDeltas deltas(engine_->shared_ball_cache(), prefetcher_.get(),
                        shared_backend_);
 
@@ -659,7 +426,12 @@ void QueryPipeline::query_stream(SeedStream& stream,
     run_stream_batch(stream, on_result, &root_telemetry);
   }
 
-  // Same drain discipline as the closed batch (see query_batch).
+  // Quiesce before reading deltas (and before the caller may tear the
+  // cache down): queued lookahead from the stream's tail would otherwise
+  // keep prefetch threads touching the cache after we return. Unclaimed
+  // pins expire when the last concurrent batch drains (LookaheadDrain) —
+  // their speculation did not pay off, and holding them across batches
+  // would leak footprint.
   if (lookahead != nullptr) prefetcher_->quiesce();
 
   if (batch_stats != nullptr) {
@@ -904,24 +676,14 @@ void QueryPipeline::run_stream_batch(SeedStream& stream,
   } hook_clear{&stream};
 
   const auto finalize_query = [&](BatchQuery& q, std::size_t self) {
-    std::optional<AggregatorPool::Lease> lease;
-    std::unique_ptr<ScoreAggregator> local;
-    ScoreAggregator* aggregator;
-    if (agg_pool_ != nullptr) {
-      lease.emplace(agg_pool_->acquire(self));
-      aggregator = &**lease;
-    } else {
-      const MelopprConfig& ecfg = engine_->config();
-      local = make_serial_aggregator(ecfg.aggregation, ecfg.k, ecfg.topck_c,
-                                     ecfg.topck_epsilon);
-      aggregator = local.get();
-    }
+    const AggregatorPool::Lease lease = agg_pool_.acquire(self);
+    ScoreAggregator& aggregator = *lease;
 
     QueryResult r;
     r.stats.stages.resize(engine_->config().num_stages());
     r.stats.graph_version = q.root->task.version;
-    reduce_tree(*q.root, *aggregator, r.stats);
-    r.top = aggregator->top(engine_->config().k);
+    reduce_tree(*q.root, aggregator, r.stats);
+    r.top = aggregator.top(engine_->config().k);
     // Arrival-stamped attribution — the headline fix. The stream clock
     // stamps arrival at push, claim at first execution, and now: so
     // total_seconds is the arrival→finalize RESPONSE time (queueing
@@ -943,9 +705,9 @@ void QueryPipeline::run_stream_batch(SeedStream& stream,
     }
     r.stats.threads_used = distinct_workers;
     r.stats.stolen_tasks = q.stolen.load(std::memory_order_relaxed);
-    r.stats.aggregator_bytes = aggregator->bytes();
-    r.stats.aggregator_entries = aggregator->entries();
-    r.stats.aggregator_evictions = aggregator->evictions();
+    r.stats.aggregator_bytes = aggregator.bytes();
+    r.stats.aggregator_entries = aggregator.entries();
+    r.stats.aggregator_evictions = aggregator.evictions();
     // Retained footprint (the outcome tree coexists with the aggregator
     // at reduction time) plus every worker's published transient peak:
     // tasks of any query may run on any worker, and summed peaks never
@@ -955,7 +717,7 @@ void QueryPipeline::run_stream_batch(SeedStream& stream,
       transient += transient_peaks[w].load(std::memory_order_relaxed);
     }
     MemoryMeter meter;
-    meter.set("aggregator", aggregator->bytes());
+    meter.set("aggregator", aggregator.bytes());
     meter.set("outcome_tree", tree_bytes(*q.root));
     r.stats.peak_bytes = meter.peak_bytes() + transient;
 

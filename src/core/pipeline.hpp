@@ -3,63 +3,48 @@
 // The paper's linear decomposition (Eq. 6/8) makes every same-stage
 // diffusion independent — its stated future work (Sec. VI-C) is running
 // them in parallel. The engine's scheduler materializes exactly that
-// independence as StageTask frontiers; QueryPipeline adds the thread pool
-// that exploits it, at two granularities:
+// independence as StageTasks; QueryPipeline adds the thread pool that
+// exploits it with ONE scheduler, the work-stealing stream:
 //
-//   query(seed)        — stage-parallel: each stage's frontier of tasks is
-//                        dispatched across the pool (the BFS+diffusion of
-//                        task i overlaps task j), then reduced. With
-//                        PipelineConfig::deterministic_reduction (default)
-//                        the coordinator applies contributions in task
-//                        order, so scores are identical for ANY thread
-//                        count; the alternative streams contributions into
-//                        a mutex-striped aggregator concurrently.
-//   query_batch(seeds) — multi-query throughput. With work_stealing (the
-//                        default) every query's per-stage tasks go into
-//                        per-worker deques and idle workers steal from the
-//                        tails of busy ones, so one query with a huge
-//                        stage-2 fan-out cannot idle the pool; each query
-//                        is then reduced by replaying the serial depth-
-//                        first order, so scores stay bit-identical to
-//                        Engine::query. With work_stealing off, queries
-//                        are pinned whole to workers (the PR 1 scheduler).
-//   query_stream(stream) — continuous ingest: the same stealing scheduler
-//                        draining a SeedStream that other threads may still
-//                        be pushing into. Fresh seeds are claimed the moment
-//                        they arrive (idle workers park event-driven on
-//                        stream arrival), results are delivered through a
-//                        sink as each query finalizes, and per-query times
-//                        are arrival-stamped: total_seconds is
-//                        arrival→finalize response time, queue_seconds the
-//                        arrival→claim wait. The serving front end
-//                        (core/serving.hpp) builds its admission queue,
-//                        deadline-aware batch formation, and tenant fair
-//                        queueing on top of this call.
+//   query_stream(stream) — continuous ingest: workers drain a SeedStream
+//                        that other threads may still be pushing into.
+//                        Every query's per-stage tasks go into per-worker
+//                        deques and idle workers steal from the tails of
+//                        busy ones, so one query with a huge stage-2
+//                        fan-out cannot idle the pool. Fresh seeds are
+//                        claimed the moment they arrive (idle workers park
+//                        event-driven on stream arrival), results are
+//                        delivered through a sink as each query finalizes,
+//                        and per-query times are arrival-stamped:
+//                        total_seconds is arrival→finalize response time,
+//                        queue_seconds the arrival→claim wait. The serving
+//                        front end (core/serving.hpp) builds its admission
+//                        queue, deadline-aware batch formation, and tenant
+//                        fair queueing on top of this call.
+//   query_batch(seeds) — the same scheduler over a pre-filled, closed
+//                        stream, at any thread count and batch size.
+//   query(seed)        — a one-seed batch.
 //
-// Aggregation (MelopprConfig::aggregation) is orthogonal to scheduling:
-// in bounded mode every per-query reduction runs through a c·k-entry
-// TopCK arena instead of an exact map — and because both batch scheduling
-// modes replay the serial DFS operation order per query, query_batch in
-// bounded mode is bit-identical to Engine::query with a TopCKAggregator
-// at any thread count (the paper's BRAM memory envelope with the serial
-// table's exact semantics). Only the stage-parallel query() with
-// deterministic_reduction off streams adds concurrently, through the
-// sharded ConcurrentTopCKAggregator, whose admit/evict boundary is
-// scheduling-dependent (concurrent_topck.hpp).
+// Each query is reduced by one thread replaying the serial depth-first
+// order into a pooled serial aggregator, so every pipeline result is
+// bit-identical to Engine::query at any thread count, in both aggregation
+// modes (MelopprConfig::aggregation): an exact map, or the bounded c·k
+// TopCK arena (the paper's BRAM memory envelope with the serial table's
+// exact semantics).
 //
 // Host/device overlap: when the engine carries a ShardedBallCache, the
 // pipeline runs a stage-lookahead prefetcher — the moment a task's
-// children are selected, dedicated host threads extract their (next-stage)
-// balls into the shared cache while the current stage's diffusions still
-// occupy the backend. This is the Fig. 4 PS/PL overlap the paper leaves
-// serial: CPU-side BFS, the end-to-end bottleneck of Fig. 7, hides behind
-// device time instead of serializing in front of it. Prefetch never
-// affects scores; a missed prefetch just means the demand fetch pays the
-// BFS itself.
+// children are selected, dedicated host threads extract the balls of the
+// siblings the worker does not dive into next while the current stage's
+// diffusions still occupy the backend. This is the Fig. 4 PS/PL overlap
+// the paper leaves serial: CPU-side BFS, the end-to-end bottleneck of
+// Fig. 7, hides behind device time instead of serializing in front of it.
+// Prefetch never affects scores; a missed prefetch just means the demand
+// fetch pays the BFS itself.
 //
 // The same prefetch threads serve two further lookahead refinements:
-//   * Cross-query root prefetch (root_prefetch_window) — the stealing
-//     batch knows every upcoming seed, so the stage-0 balls of the next W
+//   * Cross-query root prefetch (root_prefetch_window) — the stream
+//     knows every arrived seed, so the stage-0 balls of the next W
 //     unclaimed queries stream into the cache ahead of their claim,
 //     hiding cold-start BFS. Bounded by the cache's spare byte budget so
 //     a small cache is never thrashed by speculation.
@@ -76,10 +61,10 @@
 // worker.
 //
 // Memory accounting stays honest under concurrency: every worker meters
-// its own transient footprints (ball + device working set), and the
-// per-thread meters are merged by summing peaks — an upper bound on the
-// true simultaneous peak, never an under-report. The peak story becomes
-// "T balls at a time + aggregator" instead of one.
+// its own transient footprints (ball + device working set), and a query's
+// peak sums every worker's published peak — an upper bound on the true
+// simultaneous peak, never an under-report. The peak story becomes
+// "T balls at a time + outcome tree + aggregator" instead of one ball.
 #pragma once
 
 #include <atomic>
@@ -102,13 +87,11 @@
 
 namespace meloppr::core {
 
-/// A growable, lock-protected seed stream — the continuous-ingest face of
-/// the stealing batch scheduler. Seeds may be pushed from any thread WHILE
-/// a QueryPipeline::query_stream call is draining the stream: workers claim
-/// fresh roots in push order the moment they arrive (the same fresh-root
-/// claiming index the closed batch used, now reading a stream that grows),
-/// and idle workers park event-driven until a push, a task publication, or
-/// close() wakes them. Each push stamps the seed's arrival time on the
+/// A growable, lock-protected seed stream — the input of the pipeline's
+/// one scheduler. Seeds may be pushed from any thread WHILE a
+/// QueryPipeline::query_stream call is draining the stream: workers claim
+/// fresh roots in push order the moment they arrive, and idle workers park
+/// event-driven until a push, a task publication, or close() wakes them. Each push stamps the seed's arrival time on the
 /// stream's own monotonic clock; that stamp is what makes
 /// QueryStats::total_seconds an arrival→finalize response time (and
 /// queue_seconds the arrival→claim wait) instead of the claim-clocked
@@ -167,8 +150,9 @@ class SeedStream {
 
 class QueryPipeline {
  public:
-  /// Batch-level accounting for one query_batch call: what the serving
-  /// layer (cache + prefetcher + stealing) did for the whole stream.
+  /// Batch-level accounting for one query_batch/query_stream call: what
+  /// the serving layer (cache + prefetcher + stealing) did for the whole
+  /// stream.
   /// Cache/prefetch deltas are measured around the call, so concurrent
   /// batches sharing one engine see each other's traffic folded in.
   struct BatchStats {
@@ -183,7 +167,7 @@ class QueryPipeline {
     std::size_t prefetched_balls = 0;  ///< lookahead BFS actually performed
     /// Of prefetch_issued, the requests raised by the cross-query root
     /// prefetcher (stage-0 balls of upcoming seeds) rather than stage
-    /// lookahead. Only the stealing batch scheduler issues these.
+    /// lookahead.
     std::size_t root_prefetch_issued = 0;
     /// Demand fetches served from the pinned prefetch side-table — root
     /// lookahead that paid off despite a TinyLFU retention rejection or a
@@ -204,8 +188,8 @@ class QueryPipeline {
     std::size_t cache_admission_rejects = 0;
     double prefetch_hidden_seconds = 0.0;  ///< BFS time moved off demand path
     double demand_bfs_seconds = 0.0;       ///< BFS time still paid by workers
-    /// Largest per-query peak_bytes in the batch (upper bound; in stealing
-    /// mode every query's peak folds in all workers' transient ball/device
+    /// Largest per-query peak_bytes in the batch (upper bound: every
+    /// query's peak folds in all workers' transient ball/device
     /// footprints, since tasks of any query may run on any worker).
     std::size_t peak_bytes = 0;
     /// Σ bounded-table min-evictions across the batch (0 in exact mode).
@@ -235,8 +219,8 @@ class QueryPipeline {
     std::size_t dead_devices = 0;      ///< sticky-dead at batch end
 
     /// Arrival-stamped response-time distribution (seconds) over the
-    /// batch: percentiles of QueryStats::total_seconds, which under both
-    /// batch schedulers is arrival→finalize — the SLO-facing quantity,
+    /// batch: percentiles of QueryStats::total_seconds, which is
+    /// arrival→finalize — the SLO-facing quantity,
     /// queueing delay included. All zero for an empty batch.
     double response_p50_seconds = 0.0;
     double response_p99_seconds = 0.0;
@@ -254,28 +238,26 @@ class QueryPipeline {
     }
   };
 
-  /// Spawns the worker pool (plus prefetch threads when config.prefetch).
-  /// `engine` and `backend` must outlive the pipeline. A single-threaded
-  /// BallCache on the engine is still rejected in parallel mode; a
-  /// ShardedBallCache is embraced at any thread count. Throws
-  /// std::invalid_argument on a bad config.
+  /// Spawns the worker pool (prefetch threads spawn lazily, see
+  /// prefetcher()). `engine` and `backend` must outlive the pipeline.
+  /// Throws std::invalid_argument on a bad config.
   QueryPipeline(const Engine& engine, DiffusionBackend& backend,
                 PipelineConfig config = {});
   QueryPipeline(const QueryPipeline&) = delete;
   QueryPipeline& operator=(const QueryPipeline&) = delete;
   ~QueryPipeline();
 
-  /// One query with its independent same-stage diffusions dispatched across
-  /// the pool. Scores match Engine::query within floating-point reduction
-  /// reordering (≤ ~1e-14 absolute on the paper graphs); with deterministic
-  /// reduction they are additionally identical across thread counts.
+  /// One query as a one-seed batch: its stage tasks spread across the
+  /// pool by stealing; scores are bit-identical to Engine::query.
   QueryResult query(graph::NodeId seed);
 
-  /// Many queries, concurrently. Scores are bit-identical to Engine::query
-  /// at any thread count in both scheduling modes (the stealing mode
-  /// executes tasks out of order but reduces each query in the serial
-  /// depth-first order). Results are positionally aligned with `seeds`;
-  /// `batch_stats` (optional) receives the serving-layer accounting.
+  /// Many queries, concurrently: `seeds` become a pre-filled, closed
+  /// SeedStream drained by query_stream, so every seed arrives at
+  /// submission (total_seconds spans submission→finalize, queue_seconds
+  /// the wait behind earlier seeds). Scores are bit-identical to
+  /// Engine::query at any thread count. Results are positionally aligned
+  /// with `seeds`; `batch_stats` (optional) receives the serving-layer
+  /// accounting.
   std::vector<QueryResult> query_batch(std::span<const graph::NodeId> seeds,
                                        BatchStats* batch_stats = nullptr);
 
@@ -287,9 +269,8 @@ class QueryPipeline {
 
   /// Continuous-ingest batch: drains `stream`, claiming seeds as they
   /// arrive (pushes are allowed while this call runs) and blocking until
-  /// the stream is closed and every pushed seed finished. Always uses the
-  /// work-stealing scheduler, at any thread count (threads == 1 included).
-  /// Scores for every seed are bit-identical to Engine::query regardless
+  /// the stream is closed and every pushed seed finished. Scores for every
+  /// seed are bit-identical to Engine::query regardless
   /// of when it was injected; QueryStats::total_seconds is arrival→finalize
   /// on the stream's clock and queue_seconds the arrival→claim wait. The
   /// first task exception is rethrown after the workers stop; seeds not yet
@@ -301,7 +282,7 @@ class QueryPipeline {
   [[nodiscard]] const PipelineConfig& config() const { return config_; }
   [[nodiscard]] const Engine& engine() const { return *engine_; }
 
-  /// The stage-lookahead prefetcher. Created lazily by the first query
+  /// The stage-lookahead prefetcher. Created lazily by the first batch
   /// that finds a ShardedBallCache on the engine (threads are pointless
   /// without one), so this is nullptr until then — and permanently when
   /// config.prefetch is off or the backend-aware throttle suppresses
@@ -310,10 +291,9 @@ class QueryPipeline {
   [[nodiscard]] const BallPrefetcher* prefetcher() const {
     return prefetcher_.get();
   }
-  /// The pooled per-worker aggregator arenas (nullptr when
-  /// config.pool_aggregators is off).
-  [[nodiscard]] const AggregatorPool* aggregator_pool() const {
-    return agg_pool_.get();
+  /// The pooled per-worker aggregator arenas every reduction leases from.
+  [[nodiscard]] const AggregatorPool& aggregator_pool() const {
+    return agg_pool_;
   }
   /// The root-prefetch window controller (nullptr until the prefetcher
   /// spawns, and permanently when root_prefetch_window is 0). With
@@ -333,10 +313,10 @@ class QueryPipeline {
 
   void worker_loop(std::size_t worker_id);
 
-  /// Per-batch root-lookahead accounting, filled by run_stealing_batch so
-  /// query_batch never reports another batch's controller state (the
-  /// controller is shared pipeline state; a batch that takes the
-  /// non-stealing path must report zeros).
+  /// Per-batch root-lookahead accounting, filled by run_stream_batch so a
+  /// batch never reports another batch's controller state (the controller
+  /// is shared pipeline state; a batch without root lookahead reports
+  /// zeros).
   struct RootPrefetchTelemetry {
     std::size_t issued = 0;
     std::size_t last_window = 0;  ///< 0 unless root lookahead ran
@@ -344,8 +324,7 @@ class QueryPipeline {
   };
 
   /// The work-stealing scheduler over a (possibly still growing) seed
-  /// stream — both query_batch (which wraps its span in a pre-filled,
-  /// closed stream) and query_stream run through here. Results are
+  /// stream — every query runs through here. Results are
   /// delivered through `on_result` as each query finalizes; serving-layer
   /// deltas are taken by the caller around this call. `telemetry`
   /// (optional) receives this batch's root-lookahead accounting.
@@ -357,12 +336,10 @@ class QueryPipeline {
                                       : *clones_[worker_id];
   }
 
-  void check_cache_free() const;
-
   /// Returns the cache to prefetch into when lookahead is active —
   /// config.prefetch on AND a shared cache installed — spawning the
-  /// prefetch threads on first activation; nullptr otherwise. Called by
-  /// query coordinators, safe from several at once.
+  /// prefetch threads on first activation; nullptr otherwise. Safe from
+  /// several concurrent batches.
   ShardedBallCache* activate_lookahead();
 
   const Engine* engine_;
@@ -385,14 +362,14 @@ class QueryPipeline {
   /// fixed mode is the degenerate min == max == root_prefetch_window, so
   /// both modes share one tested byte-cap conversion.
   std::unique_ptr<AdaptiveWindowController> window_controller_;
-  /// query_batch calls with active lookahead currently in flight on this
+  /// Batches with active lookahead currently in flight on this
   /// pipeline — drop_pins() (cache-global) runs only when the last one
   /// drains, so concurrent batches cannot discard each other's pins.
   std::atomic<std::size_t> active_batches_{0};
   /// Monotonic wall clock shared by the controller's idle-fraction
   /// differentiation (starts with the pipeline).
   Timer uptime_;
-  std::unique_ptr<AggregatorPool> agg_pool_;
+  AggregatorPool agg_pool_;
 
   std::vector<std::thread> workers_;
   util::Mutex mu_;

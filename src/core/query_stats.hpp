@@ -138,8 +138,8 @@ struct QueryStats {
   /// the clock starts when the query was SUBMITTED (pushed into the batch
   /// or stream), not when a worker first claimed it — so scheduler
   /// queueing delay is included, which is the quantity an SLO must bound.
-  /// For the serial engine and the stage-parallel single query, arrival
-  /// and start coincide and this is plain service time.
+  /// For the serial engine, arrival and start coincide and this is plain
+  /// service time.
   double total_seconds = 0.0;
   /// Arrival→first-claim wait under a batch scheduler: how long the query
   /// sat submitted before any worker started it. 0 outside batch
@@ -150,25 +150,18 @@ struct QueryStats {
   /// Serial-sum view of the diffusion work: Σ over all balls of
   /// (compute + transfer) seconds — the 1-worker latency of this load.
   double diffusion_serial_seconds = 0.0;
-  /// Parallel completion time of the same work: max over workers of their
-  /// summed busy seconds, floored at serial / (backend execution slots) so
-  /// a shared farm with fewer devices than workers can never report a
-  /// physically impossible speedup. Equals diffusion_serial_seconds for
-  /// the serial engine.
+  /// Parallel completion time of the same work. Both schedulers report
+  /// the serial sum: the stealing pipeline tracks no per-query internal
+  /// speedup (its parallelism is across the batch, whose wall time is the
+  /// honest throughput figure).
   double diffusion_makespan_seconds = 0.0;
   /// Worker threads that executed this query's diffusions.
   std::size_t threads_used = 1;
 
   /// Stage tasks of this query executed by a worker other than the one that
   /// started the query — the work-stealing batch scheduler's spill count.
-  /// Zero for the serial engine and for query-pinned scheduling.
+  /// Zero for the serial engine.
   std::size_t stolen_tasks = 0;
-
-  /// BFS seconds extracted on prefetch threads concurrently with this
-  /// query's diffusions (stage-lookahead overlap). Only the stage-parallel
-  /// pipeline attributes this per query; batch-level totals live in
-  /// QueryPipeline::BatchStats.
-  double prefetch_hidden_seconds = 0.0;
 
   /// serial-sum / makespan — the speedup the stage scheduler extracted from
   /// independent same-stage diffusions (1.0 when serial).

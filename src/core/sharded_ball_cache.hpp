@@ -1,9 +1,15 @@
-// Thread-safe N-way sharded LRU cache of extracted BFS balls.
+// Thread-safe N-way sharded LRU cache of extracted BFS balls, keyed by
+// (root, radius) — the engine's one ball cache.
 //
-// The concurrent counterpart of BallCache (ball_cache.hpp): the serving
-// pipeline's workers and the stage-lookahead prefetcher all extract balls
-// through one shared cache, so popular-seed locality is exploited across
-// the whole worker pool instead of per thread. Design:
+// In a query-serving deployment the CPU-side BFS dominates end-to-end
+// latency (Fig. 7's light-blue bars; the paper notes BFS becomes the
+// bottleneck past P=16). Consecutive queries re-extract heavily overlapping
+// stage-2 balls — popular nodes are selected as next-stage nodes by many
+// different seeds — so caching extracted balls converts BFS time into
+// memory, a second instance of the paper's central memory↔latency trade.
+// The serial engine, the pipeline's workers and the stage-lookahead
+// prefetcher all extract balls through one shared cache, so popular-seed
+// locality is exploited across the whole worker pool. Design:
 //
 //   * Sharding. Keys are distributed over N independent shards by the high
 //     bits of the splitmix64-mixed key (the map inside a shard consumes the
@@ -14,8 +20,7 @@
 //   * Pinned entries. fetch() hands out shared_ptr<const Subgraph>, so an
 //     eviction (or clear()) while another worker still reads the ball only
 //     drops the cache's reference — the ball stays alive until its last
-//     reader releases it. This is what BallCache's "valid until the next
-//     get()" contract cannot offer under concurrency.
+//     reader releases it.
 //
 //   * In-flight miss deduplication. When two workers miss on the same
 //     popular ball simultaneously, the first installs a shared_future and
@@ -88,7 +93,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "core/ball_cache.hpp"
 #include "core/config.hpp"
 #include "graph/dynamic_graph.hpp"
 #include "graph/graph.hpp"
@@ -96,6 +100,35 @@
 #include "util/thread_annotations.hpp"
 
 namespace meloppr::core {
+
+/// splitmix64 finalizer — a full-avalanche 64-bit mixer, so every output bit
+/// depends on every input bit. The previous `root << 8 ^ radius` scheme
+/// clustered keys (consecutive roots map 256 apart) and collided outright
+/// once radius ≥ 256 overflowed into the root bits.
+inline std::uint64_t splitmix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+/// Cache key: which ball. Root and radius occupy disjoint halves of the
+/// 64-bit pre-mix word, so distinct keys can never alias before mixing.
+struct BallKey {
+  graph::NodeId root = graph::kInvalidNode;
+  unsigned radius = 0;
+  bool operator==(const BallKey&) const = default;
+  [[nodiscard]] std::uint64_t packed() const {
+    return (static_cast<std::uint64_t>(root) << 32) |
+           static_cast<std::uint64_t>(radius);
+  }
+};
+
+struct BallKeyHash {
+  std::size_t operator()(const BallKey& k) const {
+    return static_cast<std::size_t>(splitmix64(k.packed()));
+  }
+};
 
 class ShardedBallCache {
  public:

@@ -14,8 +14,8 @@
 // Dispatch is thread-safe: up to D runs proceed concurrently (one per
 // device); callers beyond D block on a condition variable until a device
 // frees up. This makes the farm the natural shared backend for the
-// QueryPipeline's stage-parallel schedule — the pool's workers feed the
-// farm exactly the independent same-stage diffusions the paper describes.
+// QueryPipeline's work-stealing workers — they feed the farm exactly the
+// independent same-stage diffusions the paper describes.
 // Device checkout and busy-time accounting sit behind one mutex; the
 // simulated diffusions themselves run outside it, in parallel.
 //

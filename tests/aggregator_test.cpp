@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+#include <vector>
+
+#include "test_support.hpp"
 #include "util/rng.hpp"
 
 namespace meloppr::core {
@@ -228,5 +233,98 @@ TEST(TopCK, ZeroMarginIsBitIdenticalToLegacyEviction) {
   EXPECT_EQ(zero_margin.margin_drops(), 0u);
 }
 
+
+// Property: the eviction bound is a fidelity certificate. For streams with
+// one contribution per node, any node whose contribution exceeds
+// eviction_bound() is guaranteed resident with its exact score — so the
+// bounded top-k equals the exact top-k whenever the true k-th score clears
+// the bound.
+void check_bound_property(TopCKAggregator& table, Rng& rng, std::size_t nodes,
+                          std::size_t k) {
+  std::vector<std::pair<graph::NodeId, double>> stream;
+  stream.reserve(nodes);
+  for (graph::NodeId v = 0; v < nodes; ++v) {
+    stream.push_back({v, rng.uniform(1e-6, 1.0)});
+  }
+  // Shuffle so admission order is uncorrelated with score.
+  for (std::size_t i = stream.size(); i > 1; --i) {
+    std::swap(stream[i - 1], stream[rng.below(i)]);
+  }
+  ExactAggregator exact;
+  for (const auto& [node, delta] : stream) {
+    table.add(node, delta);
+    exact.add(node, delta);
+  }
+  const double bound = table.eviction_bound();
+
+  // Every node above the bound is resident with its exact score.
+  std::map<graph::NodeId, double> resident;
+  for (const auto& sn : table.top(table.capacity())) {
+    resident.emplace(sn.node, sn.score);
+  }
+  EXPECT_LE(resident.size(), table.capacity());
+  for (const auto& [node, delta] : stream) {
+    if (delta > bound) {
+      const auto it = resident.find(node);
+      ASSERT_NE(it, resident.end())
+          << "node " << node << " with score " << delta
+          << " above eviction bound " << bound << " was displaced";
+      EXPECT_EQ(it->second, delta);
+    }
+  }
+
+  // Top-k agreement whenever the true k-th score clears the bound.
+  const auto exact_top = exact.top(k);
+  if (!exact_top.empty() && exact_top.back().score > bound) {
+    const auto got = table.top(k);
+    ASSERT_EQ(got.size(), exact_top.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].node, exact_top[i].node) << "rank " << i;
+      EXPECT_EQ(got[i].score, exact_top[i].score) << "rank " << i;
+    }
+  }
+}
+
+TEST(TopCKProperty, SerialTableBoundCertifiesTopK) {
+  Rng base(meloppr::test::test_seed());
+  const std::size_t rounds = meloppr::test::stress_iters(40);
+  for (std::size_t round = 0; round < rounds; ++round) {
+    Rng rng = base.fork(round);
+    const std::size_t capacity = 8 + rng.below(120);
+    TopCKAggregator table(capacity);
+    check_bound_property(table, rng, capacity + rng.below(4 * capacity),
+                         1 + rng.below(capacity));
+  }
+}
+
+TEST(BoundedAggregation, PooledBoundedArenasReuseAndIsolate) {
+  AggregatorPool pool(2, [] {
+    return std::make_unique<TopCKAggregator>(8);
+  });
+  {
+    AggregatorPool::Lease lease = pool.acquire(0);
+    EXPECT_EQ(lease->capacity(), 8u);
+    for (graph::NodeId v = 0; v < 12; ++v) {
+      lease->add(v, 0.1 * static_cast<double>(v + 1));
+    }
+    EXPECT_EQ(lease->entries(), 8u);
+    EXPECT_GT(lease->evictions(), 0u);
+  }
+  {
+    // Reused arena comes back empty with eviction state reset.
+    AggregatorPool::Lease lease = pool.acquire(0);
+    EXPECT_EQ(lease->entries(), 0u);
+    EXPECT_EQ(lease->evictions(), 0u);
+    EXPECT_EQ(lease->capacity(), 8u);
+  }
+  EXPECT_EQ(pool.reuses(), 1u);
+}
+
 }  // namespace
 }  // namespace meloppr::core
+
+// Custom main (the linker prefers this over gtest_main's): --seed flag +
+// failure reproduction line.
+int main(int argc, char** argv) {
+  return meloppr::test::run_all_tests(argc, argv);
+}

@@ -550,7 +550,6 @@ TEST(FaultTolerantBatch, ZeroAbortsAndBitIdenticalUnderFaultPlan) {
   engine.set_shared_ball_cache(&cache);
   PipelineConfig pcfg;
   pcfg.threads = 4;
-  pcfg.work_stealing = true;
   QueryPipeline pipeline(engine, failover, pcfg);
   QueryPipeline::BatchStats batch;
   std::vector<QueryResult> got;
@@ -638,7 +637,6 @@ TEST(FaultTolerantBatch, ConcurrentFaultHammer) {
 
   PipelineConfig pcfg;
   pcfg.threads = 4;
-  pcfg.work_stealing = true;
   pcfg.prefetch = true;
   QueryPipeline pipeline(engine, failover, pcfg);
   QueryPipeline::BatchStats batch;

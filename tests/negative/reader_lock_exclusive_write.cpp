@@ -1,8 +1,8 @@
 // MUST NOT COMPILE under -Wthread-safety -Werror=thread-safety-analysis:
 // writes a field guarded by a SharedMutex while holding only the SHARED
-// (reader) side. This is the exact bug class ConcurrentTopCKAggregator's
-// fast path flirts with — reading under ReaderLock is fine, mutation
-// needs the WriterLock.
+// (reader) side. This is the bug class DynamicGraph's readers must avoid:
+// extraction and degree queries run under ReaderLock, while applying an
+// edge update needs the WriterLock.
 #include "util/thread_annotations.hpp"
 
 namespace {

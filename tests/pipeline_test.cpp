@@ -6,9 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <stdexcept>
-#include <thread>
 
 #include "graph/generators.hpp"
 #include "hw/farm.hpp"
@@ -39,7 +37,7 @@ TEST(QueryPipeline, ConfigValidation) {
   Engine engine(g, small_config());
   CpuBackend backend(0.85);
   PipelineConfig bad;
-  bad.aggregator_stripes = 0;
+  bad.root_prefetch_max_window = 0;  // adaptive root lookahead needs room
   EXPECT_THROW(QueryPipeline(engine, backend, bad), std::invalid_argument);
 }
 
@@ -100,20 +98,12 @@ TEST(QueryPipeline, FarmNumericsMatchSerialEngine) {
   QueryPipeline pipeline(engine, farm, pcfg);
   const QueryResult parallel = pipeline.query(23);
 
-  // Compare as node→score maps: per-node sums see the same addends in a
-  // different order, so exact serial ties can break differently in the
-  // positional ranking while every score still matches within 1e-12.
+  // The pipeline replays the serial depth-first reduction: bit-identical.
   ASSERT_EQ(parallel.top.size(), serial.top.size());
-  std::map<graph::NodeId, double> want;
-  for (const auto& sn : serial.top) want.emplace(sn.node, sn.score);
-  std::size_t matched = 0;
-  for (const auto& sn : parallel.top) {
-    const auto it = want.find(sn.node);
-    if (it == want.end()) continue;  // a tie rotated the tail of the list
-    ++matched;
-    EXPECT_NEAR(sn.score, it->second, 1e-12) << "node " << sn.node;
+  for (std::size_t i = 0; i < serial.top.size(); ++i) {
+    EXPECT_EQ(parallel.top[i].node, serial.top[i].node) << "rank " << i;
+    EXPECT_EQ(parallel.top[i].score, serial.top[i].score) << "rank " << i;
   }
-  EXPECT_GE(matched + 2, serial.top.size());  // at most the tie boundary moves
 }
 
 TEST(QueryPipeline, MakespanAccountingIsCoherent) {
@@ -129,22 +119,16 @@ TEST(QueryPipeline, MakespanAccountingIsCoherent) {
 
   const QueryResult r = pipeline.query(11);
   // Popcount semantics: distinct workers that actually executed a task,
-  // not the pool size — between 1 (one worker drained every frontier) and
+  // not the pool size — between 1 (one worker drained every task) and
   // the pool's 4.
   EXPECT_GE(r.stats.threads_used, 1u);
   EXPECT_LE(r.stats.threads_used, 4u);
   EXPECT_GT(r.stats.diffusion_serial_seconds, 0.0);
-  // The makespan can never exceed the serial sum, and the speedup is
-  // bounded by the worker count.
-  EXPECT_LE(r.stats.diffusion_makespan_seconds,
-            r.stats.diffusion_serial_seconds + 1e-12);
-  EXPECT_GE(r.stats.parallel_speedup(), 1.0 - 1e-9);
-  EXPECT_LE(r.stats.parallel_speedup(), 4.0 + 1e-9);
-  // 25 independent stage-2 balls across 4 workers usually overlap, but on
-  // a single-core or oversubscribed runner one worker may legitimately
-  // drain the whole frontier — equality is then correct, not a bug.
-  EXPECT_LE(r.stats.diffusion_makespan_seconds,
+  // The stealing scheduler tracks no per-query internal speedup: the
+  // makespan is the serial sum, as for the serial engine.
+  EXPECT_EQ(r.stats.diffusion_makespan_seconds,
             r.stats.diffusion_serial_seconds);
+  EXPECT_DOUBLE_EQ(r.stats.parallel_speedup(), 1.0);
 }
 
 TEST(QueryPipeline, MergedMemoryPeakIsHonest) {
@@ -201,60 +185,6 @@ TEST(QueryPipeline, WorkerExceptionsPropagateToCaller) {
   // The pool survives a failed dispatch and keeps serving.
   const std::vector<graph::NodeId> good{1, 2, 3};
   EXPECT_EQ(pipeline.query_batch(good).size(), 3u);
-}
-
-TEST(QueryPipeline, RejectsBallCacheInParallelMode) {
-  Rng rng(88);
-  Graph g = graph::barabasi_albert(300, 2, 2, rng);
-  Engine engine(g, small_config());
-  CpuBackend backend(0.85);
-  BallCache cache(g, 1u << 20);
-  engine.set_ball_cache(&cache);
-
-  PipelineConfig pcfg;
-  pcfg.threads = 4;
-  QueryPipeline pipeline(engine, backend, pcfg);
-  EXPECT_THROW(pipeline.query(5), InvariantViolation);
-  engine.set_ball_cache(nullptr);
-  EXPECT_NO_THROW(pipeline.query(5));
-}
-
-TEST(StripedAggregator, ExactSumsAndValidation) {
-  EXPECT_THROW(StripedAggregator(0), std::invalid_argument);
-  StripedAggregator agg(4);
-  agg.add(1, 0.5);
-  agg.add(1, 0.25);
-  agg.add(5, 1.0);
-  agg.add(5, -1.0);
-  EXPECT_EQ(agg.entries(), 2u);
-  const auto top = agg.top(2);
-  ASSERT_EQ(top.size(), 2u);
-  EXPECT_EQ(top[0].node, 1u);
-  EXPECT_DOUBLE_EQ(top[0].score, 0.75);
-  EXPECT_GT(agg.bytes(), 0u);
-  agg.clear();
-  EXPECT_EQ(agg.entries(), 0u);
-}
-
-TEST(StripedAggregator, ConcurrentAddsAreLossless) {
-  StripedAggregator agg(8);
-  constexpr int kThreads = 8;
-  constexpr int kAdds = 5000;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&agg] {
-      for (int i = 0; i < kAdds; ++i) {
-        agg.add(static_cast<graph::NodeId>(i % 97), 1.0);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(agg.entries(), 97u);
-  double total = 0.0;
-  for (const auto& sn : agg.top(97)) total += sn.score;
-  // Integer-valued adds: the sum is exact, so losses would be visible.
-  EXPECT_DOUBLE_EQ(total, static_cast<double>(kThreads) * kAdds);
 }
 
 }  // namespace

@@ -168,9 +168,16 @@ TEST(PrefetcherStress, WorkerSurvivesExtractorFaults) {
   EXPECT_EQ(prefetcher.balls_fetched(), 0u);
   EXPECT_EQ(cache.extraction_failures(), faults);
 
-  // The same worker still serves once the extractor heals.
+  // The same worker still serves once the extractor heals. set_extractor
+  // must not race a fetch: quiesce() orders the worker's last fetch (its
+  // in-flight release under the prefetcher lock) before the swap.
+  prefetcher.quiesce();
   cache.set_extractor({});
+  // quiesce() drops pending requests, so wait for completion before
+  // quiescing.
+  const std::size_t before = prefetcher.completed();
   prefetcher.enqueue(cache, 5, 2);
+  while (prefetcher.completed() == before) std::this_thread::yield();
   prefetcher.quiesce();
   EXPECT_TRUE(cache.fetch(5, 2).hit) << "worker died on the faults above";
   EXPECT_EQ(prefetcher.failures(), faults);

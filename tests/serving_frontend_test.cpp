@@ -131,12 +131,8 @@ TEST(QueryStream, ResponseTimesMonotoneOnOneWorker) {
     }
   }
 
-  // Pinned path (work_stealing off): same contract, same clock fix.
-  PipelineConfig pinned_cfg;
-  pinned_cfg.threads = 1;
-  pinned_cfg.work_stealing = false;
-  QueryPipeline pinned(engine, backend, pinned_cfg);
-  const std::vector<QueryResult> batch = pinned.query_batch(seeds);
+  // Closed-batch path: same contract, same clock fix.
+  const std::vector<QueryResult> batch = pipeline.query_batch(seeds);
   for (std::size_t i = 1; i < batch.size(); ++i) {
     EXPECT_GE(batch[i].stats.total_seconds + 1e-9,
               batch[i - 1].stats.total_seconds);

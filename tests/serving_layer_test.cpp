@@ -67,7 +67,6 @@ TEST(ServingLayer, StealingBatchBitIdenticalToSerialEngine) {
 
   PipelineConfig pcfg;
   pcfg.threads = 4;
-  pcfg.work_stealing = true;
   pcfg.prefetch = true;
   QueryPipeline pipeline(engine, backend, pcfg);
   const std::vector<QueryResult> results = pipeline.query_batch(seeds);
@@ -89,7 +88,7 @@ TEST(ServingLayer, PrefetchOnOffScoresIdentical) {
   Engine engine(g, small_config());
   std::vector<graph::NodeId> seeds{7, 7, 123, 400, 7, 881, 123};
 
-  const auto run = [&](bool prefetch, bool stealing) {
+  const auto run = [&](bool prefetch) {
     CpuBackend backend(0.85);
     ShardedBallCache cache(g, 128u << 20);
     engine.set_shared_ball_cache(&cache);
@@ -99,24 +98,21 @@ TEST(ServingLayer, PrefetchOnOffScoresIdentical) {
     // Un-throttled so the CPU backend actually exercises lookahead (the
     // equivalence under test is prefetch-on vs prefetch-off numerics).
     pcfg.prefetch_throttle = false;
-    pcfg.work_stealing = stealing;
     QueryPipeline pipeline(engine, backend, pcfg);
     auto results = pipeline.query_batch(seeds);
     engine.set_shared_ball_cache(nullptr);
     return results;
   };
 
-  const auto off = run(false, true);
-  const auto on = run(true, true);
-  const auto pinned = run(true, false);
+  const auto off = run(false);
+  const auto on = run(true);
   ASSERT_EQ(off.size(), on.size());
   for (std::size_t i = 0; i < off.size(); ++i) {
     expect_bit_identical(off[i], on[i]);
-    expect_bit_identical(off[i], pinned[i]);
   }
 }
 
-TEST(ServingLayer, StageParallelQueryPrefetchesLookahead) {
+TEST(ServingLayer, QueryPrefetchesSiblingLookahead) {
   Rng rng(94);
   Graph g = graph::barabasi_albert(900, 2, 2, rng);
   MelopprConfig cfg = small_config();
@@ -137,14 +133,18 @@ TEST(ServingLayer, StageParallelQueryPrefetchesLookahead) {
   // Lazy: prefetch threads spawn on the first query that sees the cache.
   EXPECT_EQ(pipeline.prefetcher(), nullptr);
 
-  const QueryResult with_prefetch = pipeline.query(11);
+  QueryPipeline::BatchStats batch;
+  const graph::NodeId seed = 11;
+  const QueryResult with_prefetch =
+      pipeline.query_batch(std::span(&seed, 1), &batch).front();
   ASSERT_NE(pipeline.prefetcher(), nullptr);
-  // Every stage-2 child was announced to the prefetcher as soon as its
-  // parent task finished.
-  EXPECT_EQ(pipeline.prefetcher()->issued(),
-            with_prefetch.stats.stages[1].balls);
-  // Scores are identical to a prefetch-free pipeline at the same thread
-  // count (deterministic reduction; prefetch never changes task order).
+  // Stage lookahead announces every stage-2 child as soon as its parent
+  // task finished, except children[0]: the worker dives into it next.
+  ASSERT_GT(with_prefetch.stats.stages[1].balls, 1u);
+  EXPECT_EQ(batch.prefetch_issued - batch.root_prefetch_issued,
+            with_prefetch.stats.stages[1].balls - 1);
+  // Scores are identical to a prefetch-free pipeline (prefetch never
+  // changes the reduction order).
   PipelineConfig no_pf = pcfg;
   no_pf.prefetch = false;
   ShardedBallCache cold(g, 128u << 20);
@@ -182,7 +182,7 @@ TEST(ServingLayer, PrefetchThrottleKeepsCpuBackendUnoversubscribed) {
   // every core stays with the demand path.
   EXPECT_EQ(pipeline.prefetcher(), nullptr);
   EXPECT_EQ(batch.prefetch_issued, 0u);
-  EXPECT_EQ(single.stats.prefetch_hidden_seconds, 0.0);
+  EXPECT_FALSE(single.top.empty());
   // Scores are unaffected — the throttle changes scheduling only.
   for (std::size_t i = 0; i < seeds.size(); ++i) {
     expect_bit_identical(engine.query(seeds[i]), results[i]);
@@ -209,11 +209,18 @@ TEST(ServingLayer, PrefetchThrottleAdmitsOffloadingBackend) {
   PipelineConfig pcfg;  // defaults again — only the backend differs
   pcfg.threads = 4;
   QueryPipeline pipeline(engine, farm, pcfg);
-  const QueryResult r = pipeline.query(9);
+  QueryPipeline::BatchStats batch;
+  const graph::NodeId seed = 9;
+  const QueryResult r =
+      pipeline.query_batch(std::span(&seed, 1), &batch).front();
   engine.set_shared_ball_cache(nullptr);
 
   ASSERT_NE(pipeline.prefetcher(), nullptr);
-  EXPECT_EQ(pipeline.prefetcher()->issued(), r.stats.stages[1].balls);
+  // Stage lookahead covers every stage-2 sibling the worker does not dive
+  // into next.
+  ASSERT_GT(r.stats.stages[1].balls, 1u);
+  EXPECT_EQ(batch.prefetch_issued - batch.root_prefetch_issued,
+            r.stats.stages[1].balls - 1);
 }
 
 TEST(ServingLayer, CrossQueryRootPrefetchWarmsUpcomingSeeds) {
@@ -235,7 +242,6 @@ TEST(ServingLayer, CrossQueryRootPrefetchWarmsUpcomingSeeds) {
     pcfg.threads = 4;
     pcfg.prefetch = true;
     pcfg.prefetch_throttle = false;  // CPU backend; exercise the mechanism
-    pcfg.work_stealing = true;
     pcfg.root_prefetch_window = window;
     QueryPipeline pipeline(engine, backend, pcfg);
     QueryPipeline::BatchStats batch;
@@ -300,7 +306,6 @@ TEST(ServingLayer, SaturatedCacheIssuesNoRootPrefetches) {
     pcfg.threads = 4;
     pcfg.prefetch = true;
     pcfg.prefetch_throttle = false;  // CPU backend; exercise the mechanism
-    pcfg.work_stealing = true;
     pcfg.adaptive_root_prefetch = adaptive;
     pcfg.root_prefetch_window = 4;
     QueryPipeline pipeline(engine, backend, pcfg);
@@ -332,7 +337,6 @@ TEST(ServingLayer, AdaptiveRootPrefetchReportsWindowAndKeepsScores) {
   pcfg.threads = 4;
   pcfg.prefetch = true;
   pcfg.prefetch_throttle = false;
-  pcfg.work_stealing = true;
   pcfg.adaptive_root_prefetch = true;
   pcfg.root_prefetch_max_window = 8;
   QueryPipeline pipeline(engine, backend, pcfg);
@@ -374,7 +378,6 @@ TEST(ServingLayer, PinnedHandoffNeverReextractsAndKeepsScores) {
   pcfg.threads = 4;
   pcfg.prefetch = true;
   pcfg.prefetch_throttle = false;
-  pcfg.work_stealing = true;
   pcfg.root_prefetch_pinning = true;
   QueryPipeline pipeline(engine, backend, pcfg);
   QueryPipeline::BatchStats batch;
@@ -476,7 +479,6 @@ TEST(ServingLayer, WorkStealingSpreadsHeavyQuery) {
   CpuBackend backend(0.85);
   PipelineConfig pcfg;
   pcfg.threads = 4;
-  pcfg.work_stealing = true;
   pcfg.prefetch = false;
   QueryPipeline pipeline(engine, backend, pcfg);
   QueryPipeline::BatchStats batch;
@@ -491,15 +493,6 @@ TEST(ServingLayer, WorkStealingSpreadsHeavyQuery) {
   EXPECT_GE(results[0].stats.threads_used, 2u);
   // Scores unaffected by who ran what.
   expect_bit_identical(engine.query(hub), results[0]);
-
-  // Query-pinned scheduling, by contrast, keeps every query on one worker.
-  PipelineConfig pinned = pcfg;
-  pinned.work_stealing = false;
-  QueryPipeline pinned_pipeline(engine, backend, pinned);
-  QueryPipeline::BatchStats pinned_batch;
-  const auto pinned_results = pinned_pipeline.query_batch(seeds, &pinned_batch);
-  EXPECT_EQ(pinned_batch.stolen_tasks, 0u);
-  EXPECT_EQ(pinned_results[0].stats.threads_used, 1u);
 }
 
 TEST(ServingLayer, BatchStatsAreCoherent) {
@@ -592,28 +585,6 @@ TEST(AggregatorPool, ConcurrentAcquireReleaseIsSafe) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(pool.acquires(), static_cast<std::size_t>(kThreads * kIters));
   EXPECT_GE(pool.reuses(), pool.acquires() - 4);
-}
-
-TEST(ServingLayer, PooledAndUnpooledBatchesMatch) {
-  Rng rng(97);
-  Graph g = graph::barabasi_albert(600, 2, 2, rng);
-  Engine engine(g, small_config());
-  std::vector<graph::NodeId> seeds{3, 99, 250, 3, 99, 512};
-
-  const auto run = [&](bool pooled) {
-    CpuBackend backend(0.85);
-    PipelineConfig pcfg;
-    pcfg.threads = 2;
-    pcfg.pool_aggregators = pooled;
-    pcfg.prefetch = false;
-    QueryPipeline pipeline(engine, backend, pcfg);
-    return pipeline.query_batch(seeds);
-  };
-  const auto with_pool = run(true);
-  const auto without = run(false);
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    expect_bit_identical(without[i], with_pool[i]);
-  }
 }
 
 }  // namespace

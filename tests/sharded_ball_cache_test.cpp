@@ -1,6 +1,7 @@
 // ShardedBallCache: correctness under concurrency — shard contention,
 // eviction under budget pressure, in-flight miss deduplication, pinning —
-// plus the splitmix64 key-hash distribution properties.
+// plus the splitmix64 key-hash distribution properties, single-shard LRU
+// behavior, and engine integration.
 #include "core/sharded_ball_cache.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "core/engine.hpp"
 #include "graph/bfs.hpp"
 #include "graph/generators.hpp"
 #include "util/fault_injection.hpp"
@@ -84,11 +86,13 @@ TEST(ShardedBallCache, HitsOnRepeatedKeys) {
 
 TEST(ShardedBallCache, DifferentRadiusIsDifferentEntry) {
   Graph g = graph::fixtures::cycle(50);
-  ShardedBallCache cache(g, 1 << 20, 4);
-  cache.get(5, 2);
-  cache.get(5, 3);
-  EXPECT_EQ(cache.misses(), 2u);
-  EXPECT_EQ(cache.entries(), 2u);
+  for (const std::size_t shards : {1u, 4u}) {
+    ShardedBallCache cache(g, 1 << 20, shards);
+    cache.get(5, 2);
+    cache.get(5, 3);
+    EXPECT_EQ(cache.misses(), 2u) << "shards=" << shards;
+    EXPECT_EQ(cache.entries(), 2u) << "shards=" << shards;
+  }
 }
 
 TEST(ShardedBallCache, ZeroBudgetRejected) {
@@ -120,6 +124,26 @@ TEST(ShardedBallCache, EvictionRespectsPerShardBudget) {
   EXPECT_EQ(cache.hits(), 3u);
   cache.get(0, 2);
   EXPECT_EQ(cache.misses(), 7u);  // 6 cold + this re-miss
+}
+
+TEST(ShardedBallCache, RecentUseProtectsFromEviction) {
+  Graph g = graph::fixtures::cycle(200);
+  std::size_t one_ball;
+  {
+    ShardedBallCache probe(g, 1 << 20, 1);
+    probe.get(0, 2);
+    one_ball = probe.bytes();  // every radius-2 cycle ball is the same size
+  }
+  ShardedBallCache cache(g, 3 * one_ball + one_ball / 2, 1);
+  cache.get(0, 2);
+  cache.get(10, 2);
+  cache.get(20, 2);
+  cache.get(0, 2);   // refresh node 0 to MRU
+  cache.get(30, 2);  // evicts node 10's ball, not node 0's
+  cache.get(0, 2);   // still cached
+  EXPECT_EQ(cache.hits(), 2u);
+  cache.get(10, 2);  // the true victim misses
+  EXPECT_EQ(cache.misses(), 5u);
 }
 
 TEST(ShardedBallCache, OversizedBallServedButNotRetained) {
@@ -279,12 +303,15 @@ TEST(ShardedBallCache, StatsSnapshotNeverMixesResetState) {
 
 TEST(ShardedBallCache, TracksExtractionSeconds) {
   Graph g = graph::fixtures::cycle(100);
-  ShardedBallCache cache(g, 1 << 20, 2);
-  cache.get(3, 3);
-  const double after_miss = cache.extraction_seconds();
-  EXPECT_GT(after_miss, 0.0);
-  cache.get(3, 3);
-  EXPECT_DOUBLE_EQ(cache.extraction_seconds(), after_miss);  // hit is free
+  for (const std::size_t shards : {1u, 2u}) {
+    ShardedBallCache cache(g, 1 << 20, shards);
+    cache.get(3, 3);
+    const double after_miss = cache.extraction_seconds();
+    EXPECT_GT(after_miss, 0.0) << "shards=" << shards;
+    cache.get(3, 3);
+    EXPECT_DOUBLE_EQ(cache.extraction_seconds(), after_miss)  // hit is free
+        << "shards=" << shards;
+  }
 }
 
 TEST(ShardedBallCache, FailedExtractionStillCountsTheAccess) {
@@ -501,6 +528,58 @@ TEST(ShardedBallCache, PinAdmissionPrefersSeedsClosestToClaim) {
   (void)cache.fetch(10, 2, FK::kDemand);
   EXPECT_EQ(cache.stats().misses, misses_before + 1)
       << "displaced pin should no longer be held";
+}
+
+
+MelopprConfig engine_config(std::size_t selected) {
+  MelopprConfig cfg;
+  cfg.stage_lengths = {3, 3};
+  cfg.k = 20;
+  cfg.selection = Selection::top_count(selected);
+  return cfg;
+}
+
+TEST(ShardedBallCacheEngine, CachedQueriesMatchUncached) {
+  Rng rng(61);
+  Graph g = graph::barabasi_albert(800, 2, 2, rng);
+  Engine engine(g, engine_config(10));
+
+  QueryResult plain = engine.query(9);
+
+  ShardedBallCache cache(g, 64u << 20, 1);
+  engine.set_shared_ball_cache(&cache);
+  QueryResult cached_cold = engine.query(9);
+  QueryResult cached_warm = engine.query(9);
+  engine.set_shared_ball_cache(nullptr);
+
+  // A cached ball is the same Subgraph the engine would extract: scores
+  // are bit-identical.
+  ASSERT_EQ(plain.top.size(), cached_warm.top.size());
+  for (std::size_t i = 0; i < plain.top.size(); ++i) {
+    EXPECT_EQ(plain.top[i].node, cached_warm.top[i].node);
+    EXPECT_EQ(plain.top[i].score, cached_warm.top[i].score);
+  }
+  EXPECT_GT(cache.hit_rate(), 0.4);  // the repeat query hits everywhere
+  EXPECT_EQ(cached_warm.stats.cache_misses(), 0u);
+  // Warm query spends (almost) nothing on BFS.
+  EXPECT_LT(cached_warm.stats.bfs_seconds(),
+            cached_cold.stats.bfs_seconds() + 1e-9);
+}
+
+TEST(ShardedBallCacheEngine, CrossSeedSharingOfStage2Balls) {
+  // Different seeds select overlapping next-stage nodes; the cache should
+  // see real hits across a query stream.
+  Rng rng(62);
+  Graph g = graph::barabasi_albert(1500, 2, 2, rng);
+  Engine engine(g, engine_config(20));
+  ShardedBallCache cache(g, 256u << 20, 1);
+  engine.set_shared_ball_cache(&cache);
+  for (graph::NodeId seed : {3u, 17u, 99u, 250u, 777u, 1200u}) {
+    (void)engine.query(seed);
+  }
+  engine.set_shared_ball_cache(nullptr);
+  // Hubs are selected by many seeds — hits must occur.
+  EXPECT_GT(cache.hits(), 10u);
 }
 
 }  // namespace
