@@ -1,41 +1,38 @@
-// Adaptive root-prefetch window + pinned prefetch handoff A/B — the
-// self-tuning serving-stack knobs that replace PR 4's fixed window.
+// Prefetch on vs off — what the serving stack's one lookahead policy buys.
 //
-// PR 4's cross-query root prefetch had one fixed knob (window = 4) and one
-// failure mode (a TinyLFU retention rejection throws away the prefetch
-// BFS). This bench exercises both replacements:
+// With PipelineConfig::prefetch on (and a shared ball cache), the pipeline
+// runs stage lookahead plus cross-query root lookahead:
 //
-//   * Adaptive window (PipelineConfig::adaptive_root_prefetch): the width
-//     is derived per claim from the prefetch threads' smoothed idle
-//     fraction and the EWMA of recently extracted ball bytes, bounded by
-//     the (corrected) spare-budget throttle min(spare, budget/8). Idle
-//     lookahead capacity widens the window toward max; saturation narrows
-//     it to 1; a full cache stops speculation entirely.
-//   * Pinned handoff (PipelineConfig::root_prefetch_pinning): every
-//     root-prefetched ball is held in the cache's bounded pinned
-//     side-table until its seed is claimed, so an admission rejection (or
-//     an eviction racing the claim) can no longer force the claiming
-//     worker to re-run the BFS.
+//   * Adaptive window: the root-lookahead width is derived per claim from
+//     the prefetch threads' smoothed idle fraction and the EWMA of
+//     recently extracted ball bytes, between QueryPipeline::
+//     kRootWindowFloor and kRootWindowCeiling, and bounded by the
+//     spare-budget throttle min(spare, budget/8). Idle lookahead capacity
+//     widens the window; a full cache stops speculation entirely.
+//   * Pinned handoff: every root-prefetched ball is held in the cache's
+//     bounded pinned side-table until its seed is claimed, so an
+//     admission rejection (or an eviction racing the claim) can no longer
+//     force the claiming worker to re-run the BFS.
 //
 // Two streams:
 //
 //   mixed skew  — hot head cycled for warmth, then an interleave of hot
 //                 repeats and distinct cold seeds under a roomy always-
 //                 admit cache: hit rate is decided by lookahead coverage
-//                 alone. Root-prefetch off vs fixed window vs adaptive.
+//                 alone. Prefetch off vs on.
 //   pressured   — the same interleave under a tight TinyLFU cache sized
 //                 to ~1.5x the hot set: cold root prefetches lose their
 //                 admission duels, the regime the pinned handoff exists
-//                 for. Pinning off vs on.
+//                 for. One run, prefetch on.
 //
 // Scores are asserted bit-identical to the serial engine in every cell —
 // lookahead and pinning change cache temperature, never numerics.
 //
 //   --smoke          CI mode: small sizes + hard assertions (exit 1 when
-//                    the adaptive window's mixed-stream hit rate falls
-//                    below the fixed window's, when any pinned
-//                    configuration re-extracts a root-prefetched ball,
-//                    or when any score diverges)
+//                    prefetch on does not beat prefetch off on the mixed
+//                    stream's stage-0 hit rate, when the pressured run
+//                    re-extracts a root-prefetched ball, or when any
+//                    score diverges)
 //   MELOPPR_SEEDS    cold seeds in the mixed stream (default 96; smoke 48)
 //   MELOPPR_SCALE    graph-size multiplier          (default 1)
 //   MELOPPR_THREADS  worker threads                 (default 4)
@@ -43,6 +40,7 @@
 #include <cstdlib>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common.hpp"
@@ -55,26 +53,15 @@ namespace {
 constexpr std::size_t kShards = 8;
 constexpr std::size_t kHot = 8;
 
-struct WindowConfig {
-  std::string name;
-  std::size_t fixed_window = 0;  ///< 0 disables root lookahead
-  bool adaptive = false;
-  bool pinning = true;
-};
-
-core::PipelineConfig pipeline_config(const WindowConfig& wcfg,
-                                     std::size_t threads) {
+core::PipelineConfig pipeline_config(bool prefetch, std::size_t threads) {
   core::PipelineConfig pcfg;
   pcfg.threads = threads;
-  pcfg.prefetch = true;
+  pcfg.prefetch = prefetch;
   // CPU backend: opt out of the backend-aware throttle so lookahead runs
   // (this harness's cores are otherwise idle; a production CPU-only
   // server keeps the default).
   pcfg.prefetch_throttle = false;
   pcfg.prefetch_threads = threads;  // ample lookahead capacity
-  pcfg.root_prefetch_window = wcfg.fixed_window;
-  pcfg.adaptive_root_prefetch = wcfg.adaptive;
-  pcfg.root_prefetch_pinning = wcfg.pinning;
   return pcfg;
 }
 
@@ -117,7 +104,7 @@ struct StreamResult {
 };
 
 int run(bool smoke) {
-  Rng rng = banner("adaptive root-prefetch window + pinned handoff");
+  Rng rng = banner("prefetch on vs off (adaptive window, pinned handoff)");
   graph::Graph g = build_graph(graph::PaperGraphId::kG3Pubmed, rng);
 
   core::MelopprConfig cfg = default_config(/*k=*/100);
@@ -172,8 +159,8 @@ int run(bool smoke) {
     core::ShardedBallCache probe(g, std::size_t{1} << 30, kShards);
     engine.set_shared_ball_cache(&probe);
     core::CpuBackend backend(cfg.alpha);
-    core::QueryPipeline pipeline(
-        engine, backend, pipeline_config({"probe", 0, false, false}, threads));
+    core::QueryPipeline pipeline(engine, backend,
+                                 pipeline_config(/*prefetch=*/false, threads));
     pipeline.query_batch(warm);
     hot_bytes = probe.bytes();
     pipeline.query_batch(mixed);
@@ -191,14 +178,14 @@ int run(bool smoke) {
             << " shards)\n\n";
 
   // --- harness -----------------------------------------------------------
-  const auto serve = [&](const WindowConfig& wcfg, std::size_t budget,
+  const auto serve = [&](bool prefetch, std::size_t budget,
                          core::CacheAdmission admission) {
     StreamResult r;
     core::ShardedBallCache cache(g, budget, kShards, admission);
     engine.set_shared_ball_cache(&cache);
     core::CpuBackend backend(cfg.alpha);
     core::QueryPipeline pipeline(engine, backend,
-                                 pipeline_config(wcfg, threads));
+                                 pipeline_config(prefetch, threads));
     Timer wall;
     core::QueryPipeline::BatchStats batch;
     const std::vector<core::QueryResult> warm_results =
@@ -227,27 +214,24 @@ int run(bool smoke) {
     return r;
   };
 
-  // --- mixed skew stream: window policy A/B ------------------------------
+  // --- mixed skew stream: prefetch off vs on -----------------------------
   // Interleaved repetitions: whether a cold claim's root prefetch STARTED
   // before the claim is scheduler jitter worth a query or two per run, so
-  // the fixed-vs-adaptive comparison aggregates hit COUNTS across kReps
-  // alternating runs and the gate carries a one-query tolerance.
-  const std::vector<WindowConfig> window_configs = {
-      {"no root prefetch", 0, false, true},
-      {"fixed window 4", 4, false, true},
-      {"adaptive (max 32)", 4, true, true},
+  // the comparison aggregates hit COUNTS across the alternating runs.
+  const std::vector<std::pair<const char*, bool>> configs = {
+      {"prefetch off", false},
+      {"prefetch on", true},
   };
   const std::size_t reps = smoke ? 5 : 3;
   TablePrinter mixed_table({"configuration", "wall (s)", "q/s",
                             "mixed hit rate", "root hit rate", "root pf",
                             "last window", "pf idle", "BFS hidden (s)"});
-  std::vector<StreamResult> totals(window_configs.size());
+  std::vector<StreamResult> totals(configs.size());
   bool all_identical = true;
   for (std::size_t rep = 0; rep < reps; ++rep) {
-    for (std::size_t cidx = 0; cidx < window_configs.size(); ++cidx) {
-      if (cidx == 0 && rep > 0) continue;  // the baseline needs one run
-      const StreamResult r =
-          serve(window_configs[cidx], roomy, core::CacheAdmission::kAlways);
+    for (std::size_t cidx = 0; cidx < configs.size(); ++cidx) {
+      const StreamResult r = serve(configs[cidx].second, roomy,
+                                   core::CacheAdmission::kAlways);
       all_identical = all_identical && r.identical;
       StreamResult& t = totals[cidx];
       t.mixed_hits += r.mixed_hits;
@@ -261,74 +245,51 @@ int run(bool smoke) {
       t.idle_fraction = r.idle_fraction;
     }
   }
-  for (std::size_t cidx = 0; cidx < window_configs.size(); ++cidx) {
-    const StreamResult& t = totals[cidx];
-    const std::size_t runs = cidx == 0 ? 1 : reps;
-    mixed_table.add_row(
-        {window_configs[cidx].name,
-         fmt_fixed(t.wall_seconds / static_cast<double>(runs), 3),
-         fmt_fixed(static_cast<double>(runs * mixed.size()) / t.wall_seconds,
-                   1),
-         fmt_percent(t.mixed_hit_rate()),
-         fmt_percent(t.root_accesses == 0
-                         ? 0.0
-                         : static_cast<double>(t.root_hits) /
-                               static_cast<double>(t.root_accesses)),
-         std::to_string(t.batch.root_prefetch_issued / runs),
-         std::to_string(t.last_window), fmt_percent(t.idle_fraction),
-         fmt_fixed(t.batch.prefetch_hidden_seconds /
-                       static_cast<double>(runs),
-                   3)});
-  }
-  std::cout << "mixed skew stream (" << mixed.size() << " queries, "
-            << "1:1 cold:hot, roomy always-admit cache, mean of " << reps
-            << " interleaved reps):\n"
-            << mixed_table.ascii() << '\n';
   const auto root_rate = [&](const StreamResult& t) {
     return t.root_accesses == 0 ? 0.0
                                 : static_cast<double>(t.root_hits) /
                                       static_cast<double>(t.root_accesses);
   };
-  const double baseline_root_rate = root_rate(totals[0]);
-  const double fixed_root_rate = root_rate(totals[1]);
-  const double adaptive_root_rate = root_rate(totals[2]);
+  const double runs = static_cast<double>(reps);
+  for (std::size_t cidx = 0; cidx < configs.size(); ++cidx) {
+    const StreamResult& t = totals[cidx];
+    mixed_table.add_row(
+        {configs[cidx].first, fmt_fixed(t.wall_seconds / runs, 3),
+         fmt_fixed(runs * static_cast<double>(mixed.size()) / t.wall_seconds,
+                   1),
+         fmt_percent(t.mixed_hit_rate()), fmt_percent(root_rate(t)),
+         std::to_string(t.batch.root_prefetch_issued / reps),
+         std::to_string(t.last_window), fmt_percent(t.idle_fraction),
+         fmt_fixed(t.batch.prefetch_hidden_seconds / runs, 3)});
+  }
+  std::cout << "mixed skew stream (" << mixed.size() << " queries, "
+            << "1:1 cold:hot, roomy always-admit cache, mean of " << reps
+            << " interleaved reps):\n"
+            << mixed_table.ascii() << '\n';
+  const double off_root_rate = root_rate(totals[0]);
+  const double on_root_rate = root_rate(totals[1]);
 
-  // --- pressured stream: pinned handoff A/B ------------------------------
+  // --- pressured stream: the pinned handoff under admission pressure -----
+  const StreamResult pressured =
+      serve(/*prefetch=*/true, tight, core::CacheAdmission::kTinyLFU);
+  all_identical = all_identical && pressured.identical;
   TablePrinter pin_table({"configuration", "wall (s)", "mixed hit rate",
                           "root pf", "rejected", "pins", "pin hits",
                           "re-extracted"});
-  std::size_t pinned_reextractions = 0;
-  std::size_t unpinned_reextractions = 0;
-  std::size_t pinned_pin_hits = 0;
-  const std::vector<WindowConfig> pin_configs = {
-      {"adaptive, unpinned", 4, true, false},
-      {"adaptive, pinned", 4, true, true},
-  };
-  for (const WindowConfig& wcfg : pin_configs) {
-    const StreamResult r =
-        serve(wcfg, tight, core::CacheAdmission::kTinyLFU);
-    all_identical = all_identical && r.identical;
-    if (wcfg.pinning) {
-      pinned_reextractions = r.cache.root_reextractions;
-      pinned_pin_hits = r.cache.pin_hits;
-    } else {
-      unpinned_reextractions = r.cache.root_reextractions;
-    }
-    pin_table.add_row({wcfg.name, fmt_fixed(r.wall_seconds, 3),
-                       fmt_percent(r.mixed_hit_rate()),
-                       std::to_string(r.batch.root_prefetch_issued),
-                       std::to_string(r.cache.admission_rejects),
-                       std::to_string(r.cache.pins_installed),
-                       std::to_string(r.cache.pin_hits),
-                       std::to_string(r.cache.root_reextractions)});
-  }
+  pin_table.add_row({"prefetch on", fmt_fixed(pressured.wall_seconds, 3),
+                     fmt_percent(pressured.mixed_hit_rate()),
+                     std::to_string(pressured.batch.root_prefetch_issued),
+                     std::to_string(pressured.cache.admission_rejects),
+                     std::to_string(pressured.cache.pins_installed),
+                     std::to_string(pressured.cache.pin_hits),
+                     std::to_string(pressured.cache.root_reextractions)});
   std::cout << "pressured stream (tight TinyLFU cache, ~1.5x hot set):\n"
             << pin_table.ascii() << '\n'
-            << "reading: the adaptive window matches or beats the fixed "
-               "knob without tuning (idle lookahead widens it, a full "
-               "cache closes it); pinning makes every root-prefetch BFS "
-               "serve its claim even when admission rejected retention — "
-               "scores bit-identical throughout.\n";
+            << "reading: root lookahead warms the stage-0 balls of cold "
+               "seeds before their claim (idle lookahead widens the "
+               "window, a full cache closes it); pinning makes every "
+               "root-prefetch BFS serve its claim even when admission "
+               "rejected retention — scores bit-identical throughout.\n";
 
   // --- loud checks (CI smoke gate) ---------------------------------------
   bool ok = true;
@@ -342,31 +303,24 @@ int run(bool smoke) {
   check(all_identical,
         "scores bit-identical to serial Engine::query in every "
         "configuration and stream");
-  check(pinned_reextractions == 0,
+  check(pressured.cache.root_reextractions == 0,
         "pinned handoff leaves zero root-prefetched balls re-extracted "
         "by claiming workers");
   if (smoke) {
-    // Workload-shaped gates for the CI sizes. Root prefetch warms the
-    // stage-0 balls, so the fixed-vs-adaptive gate compares stage-0 hit
-    // counts (stages >= 1 belong to stage lookahead and only add noise),
-    // summed over the interleaved reps with a one-query tolerance — the
-    // granularity of a single scheduling coin flip (whether one cold
-    // claim's prefetch had started).
-    check(totals[2].root_hits + 1 >= totals[1].root_hits,
-          "adaptive window stage-0 hit rate >= fixed window on the mixed "
-          "skew stream (one-query tolerance over all reps)");
-    check(adaptive_root_rate > baseline_root_rate,
-          "adaptive root prefetch beats no root prefetch on stage-0 hit "
-          "rate");
+    // Workload-shaped gate for the CI sizes. Root prefetch warms the
+    // stage-0 balls, so the gate compares stage-0 hit rates summed over
+    // the interleaved reps.
+    check(on_root_rate > off_root_rate,
+          "prefetch on beats prefetch off on the mixed skew stream's "
+          "stage-0 hit rate");
   }
   std::cout << (ok ? "OK" : "FAILED") << ": adaptive-prefetch checks ("
             << (smoke ? "smoke" : "full") << " mode), stage-0 hit rate "
-            << fmt_percent(baseline_root_rate) << " (no root pf) vs "
-            << fmt_percent(fixed_root_rate) << " (fixed) vs "
-            << fmt_percent(adaptive_root_rate)
-            << " (adaptive); re-extractions " << unpinned_reextractions
-            << " (unpinned) vs " << pinned_reextractions << " (pinned, "
-            << pinned_pin_hits << " pin hits)\n";
+            << fmt_percent(off_root_rate) << " (prefetch off) vs "
+            << fmt_percent(on_root_rate)
+            << " (prefetch on); pressured run re-extractions "
+            << pressured.cache.root_reextractions << " ("
+            << pressured.cache.pin_hits << " pin hits)\n";
   return ok ? 0 : 1;
 }
 

@@ -8,9 +8,9 @@
 // (CacheAdmission::kTinyLFU) gates retention on estimated access
 // frequency: a candidate that would evict residents must be hotter than
 // every victim, so one-shot scan traffic cannot displace repeatedly-hit
-// balls. Root prefetch (PipelineConfig::root_prefetch_window) additionally
-// warms the stage-0 balls of upcoming queries the stealing batch already
-// knows about.
+// balls. Prefetch (PipelineConfig::prefetch) additionally warms the
+// stage-0 balls of upcoming queries the stealing batch already knows
+// about.
 //
 // Two streams, three configurations each:
 //
@@ -21,12 +21,10 @@
 //                 in aggregate much larger than the cache) → probe (hot
 //                 set again). The probe phase's demand hit rate is the
 //                 scan-resistance metric: LRU re-misses everything the
-//                 scan evicted, TinyLFU kept the hot set resident. Note
-//                 the prefetch row's wall column on this stream: a
-//                 prefetched cold ball can be served-but-rejected by the
-//                 admission gate and re-extracted at claim time, so on
-//                 cold-heavy streams root prefetch trades host CPU for
-//                 warmth (see ROADMAP "Pinned prefetch handoff").
+//                 scan evicted, TinyLFU kept the hot set resident. A
+//                 prefetched cold ball the admission gate rejects is
+//                 still served to its claim from the pinned side-table,
+//                 so root prefetch never pays the BFS twice.
 //
 // Scores are asserted bit-identical to the serial engine in every cell —
 // admission and prefetch change retention and scheduling, never numerics.
@@ -75,7 +73,6 @@ core::PipelineConfig pipeline_config(const AdmissionConfig& cfg,
   // prefetch rows actually exercise lookahead (the cores are idle in this
   // harness; a production CPU-only server keeps the default).
   pcfg.prefetch_throttle = false;
-  pcfg.root_prefetch_window = cfg.prefetch ? 8 : 0;
   return pcfg;
 }
 

@@ -1,12 +1,12 @@
 // Self-tuning width for the cross-query root-prefetch window (ROADMAP
 // "Adaptive root-prefetch window").
 //
-// PR 4 made the window a fixed knob throttled by the cache's spare byte
-// budget. That knob has no single right value: on a graph of small balls a
+// A fixed window has no single right value: on a graph of small balls a
 // window of 4 leaves the prefetch threads idle while cold queries still pay
 // their own BFS; on a graph of hub-sized balls the same 4 can overrun the
 // spare budget the moment traffic shifts. The controller derives the width
-// per claim from two live signals instead:
+// per claim, between the pipeline's QueryPipeline::kRootWindowFloor and
+// kRootWindowCeiling, from two live signals:
 //
 //   * prefetch-thread idle fraction — differentiated from the prefetcher's
 //     cumulative busy-seconds counter over wall time, then smoothed by an
@@ -26,7 +26,7 @@
 // PR 4 contract (min(spare, budget/8), not max) that keeps small caches
 // from being churned by speculation. Before the first completed
 // extraction (ewma 0) the cap cannot be converted, so the window holds
-// at min_window — the static knob's cold-start burst — instead of
+// at min_window — a small cold-start burst — instead of
 // opening to max into a cache of unknown per-ball capacity.
 //
 // The controller is intentionally dependency-free and fed explicit numbers

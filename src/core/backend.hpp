@@ -145,12 +145,11 @@ class DiffusionBackend {
 
   /// Callers currently inside run() — executing on a device or blocked on
   /// device checkout. This is the live idleness signal behind the
-  /// pipeline's farm-wait prefetch meter (PipelineConfig::
-  /// prefetch_wait_meter): while a shared offloading backend reports 0,
-  /// no worker is parked on the device side, so host cores belong to the
-  /// demand path and lookahead BFS pauses. Backends without a live signal
-  /// keep this default ("unknown — assume busy"), which never pauses
-  /// lookahead.
+  /// pipeline's farm-wait prefetch meter: while a shared offloading
+  /// backend reports 0, no worker is parked on the device side, so host
+  /// cores belong to the demand path and lookahead BFS pauses. Backends
+  /// without a live signal keep this default ("unknown — assume busy"),
+  /// which never pauses lookahead.
   [[nodiscard]] virtual std::size_t active_dispatches() const {
     return std::numeric_limits<std::size_t>::max();
   }

@@ -77,8 +77,6 @@ QueryResult Engine::query(graph::NodeId seed, DiffusionBackend& backend,
   result.stats.total_seconds = total.elapsed_seconds();
   result.stats.diffusion_serial_seconds =
       result.stats.compute_seconds() + result.stats.transfer_seconds();
-  result.stats.diffusion_makespan_seconds =
-      result.stats.diffusion_serial_seconds;
   result.stats.threads_used = 1;
 
   result.stats.aggregator_bytes = aggregator.bytes();

@@ -72,7 +72,6 @@ QueryPipeline::QueryPipeline(const Engine& engine, DiffusionBackend& backend,
                  eps = engine.config().topck_epsilon] {
                   return make_serial_aggregator(mode, k, c, eps);
                 }) {
-  config_.validate();
   if (backend.thread_safe()) {
     shared_backend_ = &backend;
   } else {
@@ -113,31 +112,13 @@ ShardedBallCache* QueryPipeline::activate_lookahead() {
     // cores carry the demand path alone). Only a shared backend has an
     // aggregate live signal — per-worker clones cannot be polled as one.
     std::function<bool()> pause;
-    if (config_.prefetch_wait_meter && backend_offloads_ &&
-        shared_backend_ != nullptr) {
+    if (backend_offloads_ && shared_backend_ != nullptr) {
       pause = [backend = shared_backend_] {
         return backend->active_dispatches() == 0;
       };
     }
     prefetcher_ = std::make_unique<BallPrefetcher>(
         config_.resolved_prefetch_threads(), std::move(pause));
-    if (config_.root_prefetch_window > 0) {
-      // Root-prefetch width: the configured window is the floor (the
-      // controller never does worse than the static knob); with adaptive
-      // mode on, idle prefetch threads widen it toward max_window. Fixed
-      // mode is the degenerate min == max window, routed through the same
-      // controller so both modes share one byte-cap conversion. Either
-      // way the cache's spare-budget throttle closes the window entirely
-      // on a full cache — churn protection is the byte cap, not narrowed
-      // issuance.
-      const std::size_t floor = config_.root_prefetch_window;
-      const std::size_t ceiling =
-          config_.adaptive_root_prefetch
-              ? std::max(config_.root_prefetch_max_window, floor)
-              : floor;
-      window_controller_ =
-          std::make_unique<AdaptiveWindowController>(floor, ceiling);
-    }
   });
   return cache;
 }
@@ -421,9 +402,9 @@ void QueryPipeline::query_stream(SeedStream& stream,
       }
       on_result(index, std::move(r));
     };
-    run_stream_batch(stream, sink, &root_telemetry);
+    run_stream_batch(stream, sink, lookahead, root_telemetry);
   } else {
-    run_stream_batch(stream, on_result, &root_telemetry);
+    run_stream_batch(stream, on_result, lookahead, root_telemetry);
   }
 
   // Quiesce before reading deltas (and before the caller may tear the
@@ -519,8 +500,8 @@ std::size_t tree_bytes(const TreeNode& node) {
 
 void QueryPipeline::run_stream_batch(SeedStream& stream,
                                      const ResultSink& on_result,
-                                     RootPrefetchTelemetry* telemetry) {
-  ShardedBallCache* lookahead = activate_lookahead();
+                                     ShardedBallCache* lookahead,
+                                     RootPrefetchTelemetry& telemetry) {
   const std::size_t mask_words = (threads_ + 63) / 64;
 
   // --- Cross-query root lookahead (ROADMAP "Cross-query root prefetch").
@@ -532,7 +513,7 @@ void QueryPipeline::run_stream_batch(SeedStream& stream,
   // lookahead has been issued — an atomic max so each seed is enqueued
   // once however many workers claim concurrently. W comes from the
   // adaptive controller (prefetch-thread idle fraction, EWMA ball bytes)
-  // or the fixed knob, and is always capped by the spare-budget throttle:
+  // and is always capped by the spare-budget throttle:
   // speculation may consume spare capacity, at most 1/8 of the budget —
   // min, not max, so a FULL cache stops speculating entirely instead of
   // churning at 1/8-budget rate (the PR 4 inversion this fixes).
@@ -542,15 +523,8 @@ void QueryPipeline::run_stream_batch(SeedStream& stream,
   std::atomic<std::size_t> root_horizon{0};
   std::atomic<std::size_t> roots_issued{0};
   const unsigned root_radius = engine_->config().stage_lengths.front();
-  // Pinned handoff: hold each root-prefetched ball in the cache's pinned
-  // side-table until its seed is claimed, so a TinyLFU retention
-  // rejection cannot waste the prefetch BFS.
-  const ShardedBallCache::FetchKind root_kind =
-      config_.root_prefetch_pinning
-          ? ShardedBallCache::FetchKind::kPinnedRootPrefetch
-          : ShardedBallCache::FetchKind::kRootPrefetch;
   const auto root_lookahead = [&](std::size_t next_unclaimed) {
-    if (lookahead == nullptr || config_.root_prefetch_window == 0) return;
+    if (lookahead == nullptr) return;
     const std::size_t bytes = lookahead->bytes();
     const std::size_t budget = lookahead->byte_budget();
     const std::size_t spare = budget > bytes ? budget - bytes : 0;
@@ -562,7 +536,7 @@ void QueryPipeline::run_stream_batch(SeedStream& stream,
     // affordable seeds.
     std::size_t ewma = lookahead->ewma_ball_bytes(root_radius);
     if (ewma == 0) ewma = lookahead->ewma_ball_bytes();
-    const std::size_t window = window_controller_->window(
+    const std::size_t window = window_controller_.window(
         prefetcher_->busy_seconds(), uptime_.elapsed_seconds(),
         prefetcher_->threads(), ewma, cap_bytes);
     // Snapshot the upcoming seeds under the stream lock: the window is
@@ -593,9 +567,13 @@ void QueryPipeline::run_stream_batch(SeedStream& stream,
     }
     // Issue outside the lock so extraction enqueue never blocks arrivals.
     for (std::size_t j = 0; j < upcoming.size(); ++j) {
-      // The stream index doubles as the claim priority: under pin-table
-      // capacity pressure the seeds closest to claim keep their pins.
-      prefetcher_->enqueue(*lookahead, upcoming[j], root_radius, root_kind,
+      // Pinned handoff: the ball stays in the cache's pinned side-table
+      // until its seed is claimed, so a TinyLFU retention rejection cannot
+      // waste the prefetch BFS. The stream index doubles as the claim
+      // priority: under pin-table capacity pressure the seeds closest to
+      // claim keep their pins.
+      prefetcher_->enqueue(*lookahead, upcoming[j], root_radius,
+                           ShardedBallCache::FetchKind::kPinnedRootPrefetch,
                            /*claim_priority=*/from + j);
     }
     roots_issued.fetch_add(upcoming.size(), std::memory_order_relaxed);
@@ -694,10 +672,6 @@ void QueryPipeline::run_stream_batch(SeedStream& stream,
     r.stats.queue_seconds = q.claim_seconds - q.arrival_seconds;
     r.stats.diffusion_serial_seconds =
         r.stats.compute_seconds() + r.stats.transfer_seconds();
-    // Per-query makespan equals the serial sum: this query's *internal*
-    // speedup is not tracked under stealing (parallelism is across the
-    // batch); batch-level wall time is the honest throughput figure.
-    r.stats.diffusion_makespan_seconds = r.stats.diffusion_serial_seconds;
     std::size_t distinct_workers = 0;
     for (std::size_t word = 0; word < mask_words; ++word) {
       distinct_workers += static_cast<std::size_t>(std::popcount(
@@ -916,15 +890,13 @@ void QueryPipeline::run_stream_batch(SeedStream& stream,
     util::MutexLock lock(inflight_mu);
     MELO_CHECK(inflight.empty());
   }
-  if (telemetry != nullptr) {
-    telemetry->issued = roots_issued.load(std::memory_order_relaxed);
-    // Window/idle telemetry belongs to THIS batch: zeros unless root
-    // lookahead was actually active here (approximate under concurrent
-    // batches sharing the controller, like the other deltas).
-    if (lookahead != nullptr && window_controller_ != nullptr) {
-      telemetry->last_window = window_controller_->last_window();
-      telemetry->idle_fraction = window_controller_->idle_fraction();
-    }
+  telemetry.issued = roots_issued.load(std::memory_order_relaxed);
+  // Window/idle telemetry belongs to THIS batch: zeros unless root
+  // lookahead was actually active here (approximate under concurrent
+  // batches sharing the controller, like the other deltas).
+  if (lookahead != nullptr) {
+    telemetry.last_window = window_controller_.last_window();
+    telemetry.idle_fraction = window_controller_.idle_fraction();
   }
 }
 

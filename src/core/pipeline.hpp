@@ -42,17 +42,21 @@
 // Prefetch never affects scores; a missed prefetch just means the demand
 // fetch pays the BFS itself.
 //
-// The same prefetch threads serve two further lookahead refinements:
-//   * Cross-query root prefetch (root_prefetch_window) — the stream
-//     knows every arrived seed, so the stage-0 balls of the next W
-//     unclaimed queries stream into the cache ahead of their claim,
-//     hiding cold-start BFS. Bounded by the cache's spare byte budget so
-//     a small cache is never thrashed by speculation.
-//   * Farm-wait metering (prefetch_wait_meter) — lookahead pauses while a
-//     shared offloading backend reports zero active dispatches: an idle
-//     farm means no worker is blocked device-side, so the host's cores
-//     belong to the demand path and extra BFS threads would oversubscribe
-//     them. Resumes the moment a dispatch enters the farm.
+// The same prefetch threads serve two further lookahead refinements, both
+// always on while lookahead is active:
+//   * Cross-query root prefetch — the stream knows every arrived seed, so
+//     the stage-0 balls of the next W unclaimed queries stream into the
+//     cache ahead of their claim, hiding cold-start BFS. W comes from an
+//     AdaptiveWindowController between kRootWindowFloor and
+//     kRootWindowCeiling, and is capped by the cache's spare byte budget
+//     so a small cache is never thrashed by speculation. Every root
+//     prefetch is pinned until its seed is claimed, so a TinyLFU retention
+//     rejection cannot waste the BFS.
+//   * Farm-wait metering — with a shared offloading backend, lookahead
+//     pauses while it reports zero active dispatches: an idle farm means
+//     no worker is blocked device-side, so the host's cores belong to the
+//     demand path and extra BFS threads would oversubscribe them. Resumes
+//     the moment a dispatch enters the farm.
 //
 // Backend policy: a thread_safe() backend (CpuBackend, FpgaFarm) is shared
 // by all workers — the farm then receives genuinely concurrent dispatches,
@@ -171,14 +175,13 @@ class QueryPipeline {
     std::size_t root_prefetch_issued = 0;
     /// Demand fetches served from the pinned prefetch side-table — root
     /// lookahead that paid off despite a TinyLFU retention rejection or a
-    /// pre-claim eviction (root_prefetch_pinning only).
+    /// pre-claim eviction.
     std::size_t root_prefetch_pin_hits = 0;
-    /// Root-prefetched balls whose BFS a claiming worker paid AGAIN (the
-    /// PR 4 waste; 0 while pinning is on and the pin table has capacity).
+    /// Root-prefetched balls whose BFS a claiming worker paid AGAIN (0
+    /// while the pin table has capacity).
     std::size_t root_reextractions = 0;
     /// Width the root-prefetch window controller chose on its last step of
-    /// this batch (the fixed knob's value when adaptive_root_prefetch is
-    /// off; 0 when root lookahead never ran).
+    /// this batch (0 when root lookahead never ran).
     std::size_t last_root_prefetch_window = 0;
     /// Smoothed prefetch-thread idle fraction at batch end, in [0, 1]
     /// (adaptive controller telemetry; 0 when the controller never ran).
@@ -240,7 +243,6 @@ class QueryPipeline {
 
   /// Spawns the worker pool (prefetch threads spawn lazily, see
   /// prefetcher()). `engine` and `backend` must outlive the pipeline.
-  /// Throws std::invalid_argument on a bad config.
   QueryPipeline(const Engine& engine, DiffusionBackend& backend,
                 PipelineConfig config = {});
   QueryPipeline(const QueryPipeline&) = delete;
@@ -295,13 +297,12 @@ class QueryPipeline {
   [[nodiscard]] const AggregatorPool& aggregator_pool() const {
     return agg_pool_;
   }
-  /// The root-prefetch window controller (nullptr until the prefetcher
-  /// spawns, and permanently when root_prefetch_window is 0). With
-  /// adaptive_root_prefetch off it is pinned to the fixed window
-  /// (min == max), still applying the spare-budget byte cap.
-  [[nodiscard]] const AdaptiveWindowController* window_controller() const {
-    return window_controller_.get();
-  }
+  /// Bounds of the cross-query root-prefetch window, in seeds. The floor
+  /// is the width the controller holds before it has a ball-size estimate
+  /// and never narrows below while the byte cap allows it; idle prefetch
+  /// threads widen the window toward the ceiling.
+  static constexpr std::size_t kRootWindowFloor = 4;
+  static constexpr std::size_t kRootWindowCeiling = 32;
 
  private:
   /// Enqueues `count` jobs fn(job_index, worker_id) and blocks until all
@@ -326,10 +327,13 @@ class QueryPipeline {
   /// The work-stealing scheduler over a (possibly still growing) seed
   /// stream — every query runs through here. Results are
   /// delivered through `on_result` as each query finalizes; serving-layer
-  /// deltas are taken by the caller around this call. `telemetry`
-  /// (optional) receives this batch's root-lookahead accounting.
+  /// deltas are taken by the caller around this call. `lookahead` is the
+  /// cache activate_lookahead() returned for this batch (nullptr: no
+  /// lookahead). `telemetry` receives this batch's root-lookahead
+  /// accounting.
   void run_stream_batch(SeedStream& stream, const ResultSink& on_result,
-                        RootPrefetchTelemetry* telemetry = nullptr);
+                        ShardedBallCache* lookahead,
+                        RootPrefetchTelemetry& telemetry);
 
   [[nodiscard]] DiffusionBackend& backend_for(std::size_t worker_id) {
     return shared_backend_ != nullptr ? *shared_backend_
@@ -356,12 +360,9 @@ class QueryPipeline {
 
   std::once_flag prefetcher_once_;
   std::unique_ptr<BallPrefetcher> prefetcher_;
-  /// Width controller for the cross-query root-prefetch window; created
-  /// with the prefetcher whenever root lookahead is enabled. Adaptive
-  /// mode widens between [root_prefetch_window, root_prefetch_max_window];
-  /// fixed mode is the degenerate min == max == root_prefetch_window, so
-  /// both modes share one tested byte-cap conversion.
-  std::unique_ptr<AdaptiveWindowController> window_controller_;
+  /// Width controller for the cross-query root-prefetch window.
+  AdaptiveWindowController window_controller_{kRootWindowFloor,
+                                              kRootWindowCeiling};
   /// Batches with active lookahead currently in flight on this
   /// pipeline — drop_pins() (cache-global) runs only when the last one
   /// drains, so concurrent batches cannot discard each other's pins.

@@ -33,7 +33,6 @@ void BallPrefetcher::enqueue(ShardedBallCache& cache, graph::NodeId root,
                              ShardedBallCache::FetchKind kind,
                              std::size_t claim_priority) {
   const bool speculative =
-      kind == ShardedBallCache::FetchKind::kRootPrefetch ||
       kind == ShardedBallCache::FetchKind::kPinnedRootPrefetch;
   {
     util::MutexLock lock(mu_);
@@ -43,12 +42,6 @@ void BallPrefetcher::enqueue(ShardedBallCache& cache, graph::NodeId root,
   }
   issued_.fetch_add(1, std::memory_order_relaxed);
   work_available_.notify_one();
-}
-
-void BallPrefetcher::drop_pending() {
-  util::MutexLock lock(mu_);
-  stage_queue_.clear();
-  root_queue_.clear();
 }
 
 void BallPrefetcher::quiesce() {

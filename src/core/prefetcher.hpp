@@ -65,23 +65,21 @@ class BallPrefetcher {
   /// the end of every query()/query_batch(), so callers only need the
   /// cache to outlive the query call, not the pipeline. `kind` is the
   /// FetchKind the worker passes to the cache: plain stage lookahead by
-  /// default, or one of the root-prefetch kinds so the cache can record
-  /// (and, for kPinnedRootPrefetch, pin) cross-query speculation — and it
-  /// also selects the queue class: root-prefetch requests wait in a
-  /// separate queue that workers only touch when no stage-lookahead
-  /// request is pending. `claim_priority` (root kinds) is the seed's
-  /// stream index, forwarded to the cache's pin-table admission.
+  /// default, or kPinnedRootPrefetch so the cache can record and pin
+  /// cross-query speculation — and it also selects the queue class:
+  /// root-prefetch requests wait in a separate queue that workers only
+  /// touch when no stage-lookahead request is pending. `claim_priority`
+  /// (root prefetch) is the seed's stream index, forwarded to the cache's
+  /// pin-table admission.
   void enqueue(ShardedBallCache& cache, graph::NodeId root, unsigned radius,
                ShardedBallCache::FetchKind kind =
                    ShardedBallCache::FetchKind::kPrefetch,
                std::size_t claim_priority =
                    ShardedBallCache::kNoClaimPriority);
 
-  /// Discards queued (not yet started) requests.
-  void drop_pending();
-
-  /// drop_pending() plus a wait for in-flight requests to finish: after
-  /// this returns, no prefetch thread touches any cache passed earlier.
+  /// Discards queued (not yet started) requests and waits for in-flight
+  /// ones to finish: after this returns, no prefetch thread touches any
+  /// cache passed earlier.
   /// Bounded by one ball extraction per prefetch thread.
   void quiesce();
 

@@ -150,11 +150,6 @@ struct QueryStats {
   /// Serial-sum view of the diffusion work: Σ over all balls of
   /// (compute + transfer) seconds — the 1-worker latency of this load.
   double diffusion_serial_seconds = 0.0;
-  /// Parallel completion time of the same work. Both schedulers report
-  /// the serial sum: the stealing pipeline tracks no per-query internal
-  /// speedup (its parallelism is across the batch, whose wall time is the
-  /// honest throughput figure).
-  double diffusion_makespan_seconds = 0.0;
   /// Worker threads that executed this query's diffusions.
   std::size_t threads_used = 1;
 
@@ -162,14 +157,6 @@ struct QueryStats {
   /// started the query — the work-stealing batch scheduler's spill count.
   /// Zero for the serial engine.
   std::size_t stolen_tasks = 0;
-
-  /// serial-sum / makespan — the speedup the stage scheduler extracted from
-  /// independent same-stage diffusions (1.0 when serial).
-  [[nodiscard]] double parallel_speedup() const {
-    return diffusion_makespan_seconds > 0.0
-               ? diffusion_serial_seconds / diffusion_makespan_seconds
-               : 1.0;
-  }
 
   [[nodiscard]] double bfs_seconds() const {
     double s = 0.0;

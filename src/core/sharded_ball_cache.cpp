@@ -216,7 +216,7 @@ void ShardedBallCache::note_extraction(Shard& shard, const BallKey& key,
   fold(ewma_ball_bytes_);
   fold(ewma_by_radius_[radius_slot(key.radius)]);
 
-  if (is_root_prefetch(kind)) {
+  if (kind == FetchKind::kPinnedRootPrefetch) {
     if (shard.root_prefetched.size() < kRootRecordCap) {
       shard.root_prefetched.insert(key);
     }

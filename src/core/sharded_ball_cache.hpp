@@ -58,10 +58,10 @@
 //     byte budget, until the first demand fetch consumes it or drop_pins()
 //     ends the batch. A TinyLFU retention rejection (or an eviction racing
 //     the claim) can therefore no longer waste the prefetch BFS: the
-//     claiming worker is served from the pin. Both root-prefetch kinds
-//     also record their keys so root_reextractions can count the PR 4
-//     failure mode (a root-prefetched ball re-extracted on the demand
-//     path) — zero when pinning is on and the pin table has capacity.
+//     claiming worker is served from the pin. Root prefetches also
+//     record their keys so root_reextractions can count a root-prefetched
+//     ball re-extracted on the demand path — zero while the pin table has
+//     capacity.
 //
 //   * Surgical invalidation (bind_dynamic_graph). Bound to a DynamicGraph,
 //     each shard maintains a reverse-reachability index (vertex → the
@@ -140,14 +140,13 @@ class ShardedBallCache {
                                     unsigned)>;
 
   /// Who is asking — demand fetches feed hit_rate(); prefetch fetches are
-  /// tallied separately so lookahead traffic cannot inflate it. The two
-  /// root kinds mark cross-query root lookahead: both record their keys
-  /// for re-extraction accounting, and kPinnedRootPrefetch additionally
-  /// holds the ball in the pinned side-table until its seed is claimed.
+  /// tallied separately so lookahead traffic cannot inflate it.
+  /// kPinnedRootPrefetch marks cross-query root lookahead: it records its
+  /// key for re-extraction accounting and holds the ball in the pinned
+  /// side-table until its seed is claimed.
   enum class FetchKind {
     kDemand,
     kPrefetch,            ///< stage lookahead
-    kRootPrefetch,        ///< root lookahead, unpinned (PR 4 behavior)
     kPinnedRootPrefetch,  ///< root lookahead with pinned handoff
   };
 
@@ -277,7 +276,7 @@ class ShardedBallCache {
     std::size_t pin_displacements = 0;
     /// Root-prefetched balls whose BFS was paid AGAIN by a later demand
     /// fetch — the waste the pinned handoff exists to eliminate (0 while
-    /// pinning is on and the pin table has capacity).
+    /// the pin table has capacity).
     std::size_t root_reextractions = 0;
     /// Extractions that threw (flaky extractor / storage fault). Each one
     /// fails exactly the fetches joined to that attempt; the key is
@@ -538,13 +537,9 @@ class ShardedBallCache {
 
   void count_hit(FetchKind kind, bool deduped);
   void count_miss(FetchKind kind);
-  /// Both root kinds plus plain stage lookahead share prefetch tallies.
+  /// Root and stage lookahead share prefetch tallies.
   [[nodiscard]] static bool is_prefetch(FetchKind kind) {
     return kind != FetchKind::kDemand;
-  }
-  [[nodiscard]] static bool is_root_prefetch(FetchKind kind) {
-    return kind == FetchKind::kRootPrefetch ||
-           kind == FetchKind::kPinnedRootPrefetch;
   }
 
   /// Upper bound on per-shard root-prefetch key records — an accounting

@@ -370,22 +370,22 @@ TEST(CacheAdmission, DedupedPinnedRootPrefetchStillPins) {
 }
 
 TEST(CacheAdmission, UnpinnedRootPrefetchIsReextractedAndCounted) {
-  // The PR 4 failure mode, now at least accounted for: without pinning, a
-  // served-but-rejected root prefetch leaves nothing behind, and the
-  // claiming worker pays the BFS again — root_reextractions counts it.
+  // With no pin-table capacity, a served-but-rejected root prefetch leaves
+  // nothing behind, and the claiming worker pays the BFS again —
+  // root_reextractions counts it.
   Graph g = graph::fixtures::cycle(600);
   const std::size_t ball = one_ball_bytes(g, 2);
-  ShardedBallCache cache(g, 2 * ball + ball / 2, 1,
-                         CacheAdmission::kTinyLFU);
+  ShardedBallCache cache(g, 2 * ball + ball / 2, 1, CacheAdmission::kTinyLFU,
+                         /*pin_capacity=*/0);
   for (int round = 0; round < 4; ++round) {
     cache.get(10, 2);
     cache.get(200, 2);
   }
 
   const ShardedBallCache::Fetch prefetched =
-      cache.fetch(400, 2, ShardedBallCache::FetchKind::kRootPrefetch);
+      cache.fetch(400, 2, ShardedBallCache::FetchKind::kPinnedRootPrefetch);
   EXPECT_FALSE(prefetched.hit);
-  EXPECT_EQ(cache.pins_installed(), 0u);  // unpinned kind never pins
+  EXPECT_EQ(cache.pins_installed(), 0u);  // no pin-table capacity
 
   const std::size_t misses_before = cache.stats().misses;
   const ShardedBallCache::Fetch claimed =

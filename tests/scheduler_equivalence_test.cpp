@@ -258,9 +258,6 @@ TEST_F(SchedulerEquivalence, SerialStatsUnchangedShape) {
   EXPECT_EQ(r.stats.stages[1].balls, 5u);
   EXPECT_EQ(r.stats.total_balls(), 6u);
   EXPECT_EQ(r.stats.threads_used, 1u);
-  EXPECT_DOUBLE_EQ(r.stats.diffusion_makespan_seconds,
-                   r.stats.diffusion_serial_seconds);
-  EXPECT_DOUBLE_EQ(r.stats.parallel_speedup(), 1.0);
 }
 
 

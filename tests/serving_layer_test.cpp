@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -234,15 +235,14 @@ TEST(ServingLayer, CrossQueryRootPrefetchWarmsUpcomingSeeds) {
   std::vector<graph::NodeId> seeds;
   for (graph::NodeId s = 0; s < 12; ++s) seeds.push_back(s * 71 % 900);
 
-  const auto serve = [&](std::size_t window) {
+  const auto serve = [&](bool prefetch) {
     CpuBackend backend(0.85);
     ShardedBallCache cache(g, 128u << 20);
     engine.set_shared_ball_cache(&cache);
     PipelineConfig pcfg;
     pcfg.threads = 4;
-    pcfg.prefetch = true;
+    pcfg.prefetch = prefetch;
     pcfg.prefetch_throttle = false;  // CPU backend; exercise the mechanism
-    pcfg.root_prefetch_window = window;
     QueryPipeline pipeline(engine, backend, pcfg);
     QueryPipeline::BatchStats batch;
     const auto results = pipeline.query_batch(seeds, &batch);
@@ -250,15 +250,16 @@ TEST(ServingLayer, CrossQueryRootPrefetchWarmsUpcomingSeeds) {
     return std::pair{results, batch};
   };
 
-  const auto [with_roots, batch] = serve(4);
+  const auto [with_roots, batch] = serve(true);
   // The pre-batch warm-up alone issues the first window, and every seed is
   // issued at most once however many workers claim concurrently.
   EXPECT_GT(batch.root_prefetch_issued, 0u);
   EXPECT_LE(batch.root_prefetch_issued, seeds.size());
   EXPECT_GE(batch.prefetch_issued, batch.root_prefetch_issued);
 
-  const auto [without, batch_off] = serve(0);
+  const auto [without, batch_off] = serve(false);
   EXPECT_EQ(batch_off.root_prefetch_issued, 0u);
+  EXPECT_EQ(batch_off.prefetch_issued, 0u);
   for (std::size_t i = 0; i < seeds.size(); ++i) {
     expect_bit_identical(engine.query(seeds[i]), with_roots[i]);
     expect_bit_identical(without[i], with_roots[i]);
@@ -289,39 +290,35 @@ TEST(ServingLayer, SaturatedCacheIssuesNoRootPrefetches) {
   std::vector<graph::NodeId> seeds;
   for (graph::NodeId s = 0; s < 10; ++s) seeds.push_back(50 + s * 40);
 
-  for (const bool adaptive : {true, false}) {
-    CpuBackend backend(0.85);
-    // Budget = working set + half a ball: everything resident, spare
-    // pinned under one ball for the entire batch.
-    ShardedBallCache cache(g, 70 * ball + ball / 2, 1);
-    for (graph::NodeId seed : seeds) {
-      for (graph::NodeId d = 0; d < 7; ++d) cache.get(seed - 3 + d, 3);
-    }
-    ASSERT_EQ(cache.entries(), 70u);
-    ASSERT_LT(cache.byte_budget() - cache.bytes(), ball);
-    ASSERT_GT(cache.ewma_ball_bytes(), 0u);
-
-    engine.set_shared_ball_cache(&cache);
-    PipelineConfig pcfg;
-    pcfg.threads = 4;
-    pcfg.prefetch = true;
-    pcfg.prefetch_throttle = false;  // CPU backend; exercise the mechanism
-    pcfg.adaptive_root_prefetch = adaptive;
-    pcfg.root_prefetch_window = 4;
-    QueryPipeline pipeline(engine, backend, pcfg);
-    QueryPipeline::BatchStats batch;
-    pipeline.query_batch(seeds, &batch);
-    engine.set_shared_ball_cache(nullptr);
-
-    EXPECT_EQ(batch.root_prefetch_issued, 0u) << "adaptive=" << adaptive;
-    EXPECT_GT(batch.prefetch_issued, 0u);  // stage lookahead is unaffected
-    EXPECT_EQ(batch.cache_misses, 0u);     // the working set stayed warm
+  CpuBackend backend(0.85);
+  // Budget = working set + half a ball: everything resident, spare
+  // pinned under one ball for the entire batch.
+  ShardedBallCache cache(g, 70 * ball + ball / 2, 1);
+  for (graph::NodeId seed : seeds) {
+    for (graph::NodeId d = 0; d < 7; ++d) cache.get(seed - 3 + d, 3);
   }
+  ASSERT_EQ(cache.entries(), 70u);
+  ASSERT_LT(cache.byte_budget() - cache.bytes(), ball);
+  ASSERT_GT(cache.ewma_ball_bytes(), 0u);
+
+  engine.set_shared_ball_cache(&cache);
+  PipelineConfig pcfg;
+  pcfg.threads = 4;
+  pcfg.prefetch = true;
+  pcfg.prefetch_throttle = false;  // CPU backend; exercise the mechanism
+  QueryPipeline pipeline(engine, backend, pcfg);
+  QueryPipeline::BatchStats batch;
+  pipeline.query_batch(seeds, &batch);
+  engine.set_shared_ball_cache(nullptr);
+
+  EXPECT_EQ(batch.root_prefetch_issued, 0u);
+  EXPECT_GT(batch.prefetch_issued, 0u);  // stage lookahead is unaffected
+  EXPECT_EQ(batch.cache_misses, 0u);     // the working set stayed warm
 }
 
 TEST(ServingLayer, AdaptiveRootPrefetchReportsWindowAndKeepsScores) {
-  // The adaptive controller replaces the fixed window: lookahead still
-  // reaches the prefetcher (bounded by max_window), telemetry lands in
+  // The adaptive controller sizes the window: lookahead reaches the
+  // prefetcher (bounded by kRootWindowCeiling), telemetry lands in
   // BatchStats, and scores never move — the controller only changes cache
   // temperature.
   Rng rng(103);
@@ -337,18 +334,16 @@ TEST(ServingLayer, AdaptiveRootPrefetchReportsWindowAndKeepsScores) {
   pcfg.threads = 4;
   pcfg.prefetch = true;
   pcfg.prefetch_throttle = false;
-  pcfg.adaptive_root_prefetch = true;
-  pcfg.root_prefetch_max_window = 8;
   QueryPipeline pipeline(engine, backend, pcfg);
   QueryPipeline::BatchStats batch;
   const auto results = pipeline.query_batch(seeds, &batch);
   engine.set_shared_ball_cache(nullptr);
 
-  ASSERT_NE(pipeline.window_controller(), nullptr);
   EXPECT_GT(batch.root_prefetch_issued, 0u);
   EXPECT_LE(batch.root_prefetch_issued, seeds.size());
   EXPECT_GE(batch.last_root_prefetch_window, 1u);
-  EXPECT_LE(batch.last_root_prefetch_window, 8u);
+  EXPECT_LE(batch.last_root_prefetch_window,
+            QueryPipeline::kRootWindowCeiling);
   EXPECT_GE(batch.prefetch_idle_fraction, 0.0);
   EXPECT_LE(batch.prefetch_idle_fraction, 1.0);
   for (std::size_t i = 0; i < seeds.size(); ++i) {
@@ -357,10 +352,10 @@ TEST(ServingLayer, AdaptiveRootPrefetchReportsWindowAndKeepsScores) {
 }
 
 TEST(ServingLayer, PinnedHandoffNeverReextractsAndKeepsScores) {
-  // Pinned prefetch handoff under admission pressure: with pinning on,
-  // zero root-prefetched balls may be re-extracted by claiming workers —
-  // the feature's hard guarantee while the pin table has capacity — and
-  // pin accounting stays consistent. Scores are bit-identical throughout.
+  // Pinned prefetch handoff under admission pressure: zero
+  // root-prefetched balls may be re-extracted by claiming workers — the
+  // feature's hard guarantee while the pin table has capacity — and pin
+  // accounting stays consistent. Scores are bit-identical throughout.
   Rng rng(104);
   Graph g = graph::barabasi_albert(1000, 2, 2, rng);
   Engine engine(g, small_config());
@@ -378,7 +373,6 @@ TEST(ServingLayer, PinnedHandoffNeverReextractsAndKeepsScores) {
   pcfg.threads = 4;
   pcfg.prefetch = true;
   pcfg.prefetch_throttle = false;
-  pcfg.root_prefetch_pinning = true;
   QueryPipeline pipeline(engine, backend, pcfg);
   QueryPipeline::BatchStats batch;
   const auto results = pipeline.query_batch(seeds, &batch);
@@ -419,9 +413,9 @@ TEST(ServingLayer, PrefetcherPauseGateHoldsAndReleasesWork) {
 }
 
 TEST(ServingLayer, FarmWaitMeterKeepsScoresIdentical) {
-  // Integration: the default farm-wait meter (prefetch_wait_meter) against
-  // a real farm — lookahead pauses and resumes with farm occupancy, and
-  // none of it may touch numerics.
+  // Integration: the farm-wait meter against a real farm — lookahead
+  // pauses and resumes with farm occupancy, and none of it may touch
+  // numerics.
   Rng rng(103);
   Graph g = graph::barabasi_albert(700, 2, 2, rng);
   MelopprConfig cfg = small_config();
@@ -434,9 +428,8 @@ TEST(ServingLayer, FarmWaitMeterKeepsScoresIdentical) {
   ShardedBallCache cache(g, 64u << 20);
   engine.set_shared_ball_cache(&cache);
 
-  PipelineConfig pcfg;  // prefetch, throttle, and wait meter all default-on
+  PipelineConfig pcfg;  // prefetch and throttle default-on
   pcfg.threads = 4;
-  ASSERT_TRUE(pcfg.prefetch_wait_meter);
   QueryPipeline pipeline(engine, farm, pcfg);
   const std::vector<graph::NodeId> seeds{9, 42, 9, 300};
   const auto results = pipeline.query_batch(seeds);
@@ -450,6 +443,63 @@ TEST(ServingLayer, FarmWaitMeterKeepsScoresIdentical) {
     // from CPU): serial engine + a fresh farm clone.
     const auto clone = farm.clone();
     expect_bit_identical(engine.query(seeds[i], *clone, *agg), results[i]);
+  }
+}
+
+/// A shared offloading backend whose devices never report a dispatch in
+/// flight: diffusion runs on a CpuBackend, but the pipeline sees a farm
+/// that is always idle — the state in which the farm-wait meter holds
+/// every lookahead request.
+class IdleFarmBackend final : public DiffusionBackend {
+ public:
+  explicit IdleFarmBackend(double alpha) : cpu_(alpha) {}
+
+  BackendResult run(const graph::Subgraph& ball, double mass,
+                    unsigned length) override {
+    return cpu_.run(ball, mass, length);
+  }
+  [[nodiscard]] std::size_t working_bytes(
+      std::size_t ball_nodes, std::size_t ball_edges) const override {
+    return cpu_.working_bytes(ball_nodes, ball_edges);
+  }
+  [[nodiscard]] std::string name() const override { return "idle-farm"; }
+  [[nodiscard]] std::unique_ptr<DiffusionBackend> clone() const override {
+    return std::make_unique<IdleFarmBackend>(*this);
+  }
+  [[nodiscard]] bool thread_safe() const override { return true; }
+  [[nodiscard]] bool offloads_compute() const override { return true; }
+  [[nodiscard]] std::size_t active_dispatches() const override { return 0; }
+
+ private:
+  CpuBackend cpu_;
+};
+
+TEST(ServingLayer, IdleSharedFarmHoldsAllLookahead) {
+  // The meter's wiring: against a shared offloading backend the pipeline
+  // must install the pause gate, so while the farm reports zero active
+  // dispatches lookahead is issued but never runs — and the held requests
+  // are dropped at batch end without touching scores.
+  Rng rng(105);
+  Graph g = graph::barabasi_albert(700, 2, 2, rng);
+  Engine engine(g, small_config());
+  IdleFarmBackend backend(0.85);
+  ShardedBallCache cache(g, 64u << 20);
+  engine.set_shared_ball_cache(&cache);
+
+  PipelineConfig pcfg;  // defaults: the throttle admits offloading backends
+  pcfg.threads = 4;
+  QueryPipeline pipeline(engine, backend, pcfg);
+  const std::vector<graph::NodeId> seeds{9, 42, 300, 511};
+  QueryPipeline::BatchStats batch;
+  const auto results = pipeline.query_batch(seeds, &batch);
+  engine.set_shared_ball_cache(nullptr);
+
+  ASSERT_NE(pipeline.prefetcher(), nullptr);
+  EXPECT_GT(batch.prefetch_issued, 0u);   // lookahead was requested...
+  EXPECT_EQ(batch.prefetched_balls, 0u);  // ...but the meter held all of it
+  EXPECT_EQ(pipeline.prefetcher()->completed(), 0u);
+  for (std::size_t i = 0; i < seeds.size(); ++i) {
+    expect_bit_identical(engine.query(seeds[i]), results[i]);
   }
 }
 
