@@ -1,5 +1,5 @@
 // Cache admission policy A/B — LRU always-admit vs TinyLFU frequency
-// gating, with cross-query root prefetch layered on top.
+// gating, with stage-lookahead prefetch layered on top.
 //
 // The sharded ball cache (PR 2) admits every ball that fits its shard's
 // budget: on a skewed stream that is fine, but a burst of unpopular seeds
@@ -8,23 +8,19 @@
 // (CacheAdmission::kTinyLFU) gates retention on estimated access
 // frequency: a candidate that would evict residents must be hotter than
 // every victim, so one-shot scan traffic cannot displace repeatedly-hit
-// balls. Prefetch (PipelineConfig::prefetch) additionally warms the
-// stage-0 balls of upcoming queries the stealing batch already knows
-// about.
+// balls. Prefetch (PipelineConfig::prefetch) additionally extracts each
+// query's next-stage balls while the current stage still computes.
 //
 // Two streams, three configurations each:
 //
 //   skewed      — 70% of traffic on a popular head: the cache's home turf.
-//                 Admission barely matters; root prefetch hides cold
-//                 starts of the uniform tail.
+//                 Admission barely matters; prefetch hides part of the
+//                 uniform tail's next-stage BFS.
 //   scan-burst  — warm (hot set cycled) → scan (one pass of cold seeds,
 //                 in aggregate much larger than the cache) → probe (hot
 //                 set again). The probe phase's demand hit rate is the
 //                 scan-resistance metric: LRU re-misses everything the
-//                 scan evicted, TinyLFU kept the hot set resident. A
-//                 prefetched cold ball the admission gate rejects is
-//                 still served to its claim from the pinned side-table,
-//                 so root prefetch never pays the BFS twice.
+//                 scan evicted, TinyLFU kept the hot set resident.
 //
 // Scores are asserted bit-identical to the serial engine in every cell —
 // admission and prefetch change retention and scheduling, never numerics.
@@ -55,13 +51,13 @@ constexpr std::size_t kShards = 8;
 struct AdmissionConfig {
   std::string name;
   core::CacheAdmission admission = core::CacheAdmission::kAlways;
-  bool prefetch = false;  ///< stage lookahead + cross-query root prefetch
+  bool prefetch = false;  ///< stage-lookahead prefetch
 };
 
 const std::vector<AdmissionConfig> kConfigs = {
     {"always-admit (LRU)", core::CacheAdmission::kAlways, false},
     {"TinyLFU", core::CacheAdmission::kTinyLFU, false},
-    {"TinyLFU + root prefetch", core::CacheAdmission::kTinyLFU, true},
+    {"TinyLFU + prefetch", core::CacheAdmission::kTinyLFU, true},
 };
 
 core::PipelineConfig pipeline_config(const AdmissionConfig& cfg,
@@ -207,7 +203,6 @@ int run(bool smoke) {
       r.identical =
           r.identical && scores_match_serial(reference, phases[p], results);
       r.batch.prefetch_issued += batch.prefetch_issued;
-      r.batch.root_prefetch_issued += batch.root_prefetch_issued;
       r.batch.prefetch_hidden_seconds += batch.prefetch_hidden_seconds;
       if (p == probe_phase) {
         const core::ShardedBallCache::Stats after = cache.stats();
@@ -228,7 +223,7 @@ int run(bool smoke) {
 
   // --- skewed stream -----------------------------------------------------
   TablePrinter skew_table({"configuration", "wall (s)", "q/s", "hit rate",
-                           "evictions", "rejected", "root pf",
+                           "evictions", "rejected", "prefetches",
                            "BFS hidden (s)"});
   bool all_identical = true;
   for (const AdmissionConfig& acfg : kConfigs) {
@@ -240,7 +235,7 @@ int run(bool smoke) {
          fmt_fixed(static_cast<double>(skew_count) / r.wall_seconds, 1),
          fmt_percent(r.hit_rate), std::to_string(r.cache.evictions),
          std::to_string(r.cache.admission_rejects),
-         acfg.prefetch ? std::to_string(r.batch.root_prefetch_issued) : "-",
+         acfg.prefetch ? std::to_string(r.batch.prefetch_issued) : "-",
          acfg.prefetch ? fmt_fixed(r.batch.prefetch_hidden_seconds, 3)
                        : "-"});
   }

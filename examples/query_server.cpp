@@ -183,13 +183,8 @@ int main() {
         (admission == core::CacheAdmission::kTinyLFU ? " +TinyLFU" : "");
     if (serving_stack) {
       serving_notes.push_back(
-          label + ": root prefetches " +
-          std::to_string(batch.root_prefetch_issued) + " (window " +
-          std::to_string(batch.last_root_prefetch_window) +
-          ", prefetch idle " + fmt_percent(batch.prefetch_idle_fraction) +
-          "), pin hits " + std::to_string(batch.root_prefetch_pin_hits) +
-          ", root re-extractions " +
-          std::to_string(batch.root_reextractions) +
+          label + ": prefetches " + std::to_string(batch.prefetch_issued) +
+          " (" + std::to_string(batch.prefetched_balls) + " balls BFS'd)" +
           ", admission rejects " +
           std::to_string(batch.cache_admission_rejects));
     }

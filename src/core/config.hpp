@@ -57,10 +57,8 @@ struct PipelineConfig {
   /// next-stage children are handed to dedicated prefetch threads, which
   /// extract their balls into the cache while the current stage's
   /// diffusions still occupy the backend — the PS/PL overlap of Fig. 4.
-  /// The same threads also run cross-query root lookahead (adaptive
-  /// window, pinned handoff) and pause while a shared offloading backend
-  /// is idle — see QueryPipeline. No-op without a shared cache; never
-  /// affects scores.
+  /// The threads pause while a shared offloading backend is idle — see
+  /// QueryPipeline. No-op without a shared cache; never affects scores.
   bool prefetch = true;
 
   /// Dedicated prefetch (host BFS) threads; 0 → max(1, threads/2). These

@@ -119,9 +119,8 @@ StageOutcome Engine::run_task(const StageTask& task, DiffusionBackend& backend,
         // floor: the cache never serves this task a ball older than it.
         ShardedBallCache::Fetch fetch = shared_cache_->fetch(
             task.root, length, ShardedBallCache::FetchKind::kDemand,
-            ShardedBallCache::kNoClaimPriority, task.version);
+            task.version);
         fetch.hit ? ++st.cache_hits : ++st.cache_misses;
-        if (fetch.pinned) ++st.cache_pin_hits;
         pinned = std::move(fetch.ball);
         ball_ptr = pinned.get();
         meter.set("ball_cache", shared_cache_->bytes());

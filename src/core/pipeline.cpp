@@ -185,117 +185,76 @@ QueryResult QueryPipeline::query(graph::NodeId seed) {
 
 namespace {
 
-/// Per-result accounting of one query_stream call: the per-query sums plus
-/// the arrival-stamped response-time distribution. The stream sink
-/// serializes add() with its own lock.
+/// Per-result accounting of one query_stream call: the per-query sums go
+/// straight into a BatchStats, the arrival-stamped response times beside
+/// it. The stream sink serializes add() with its own lock.
 struct QueryTally {
-  std::size_t queries = 0;
-  std::size_t executed_tasks = 0;
-  std::size_t stolen_tasks = 0;
-  std::size_t cache_hits = 0;
-  std::size_t cache_misses = 0;
-  double demand_bfs_seconds = 0.0;
-  std::size_t peak_bytes = 0;
-  std::size_t aggregator_evictions = 0;
-  std::size_t peak_aggregator_entries = 0;
-  std::size_t dispatch_retries = 0;
-  std::size_t deadline_misses = 0;
-  std::size_t failovers = 0;
-  std::size_t failed_balls = 0;
-  std::size_t degraded_queries = 0;
-  std::size_t failed_queries = 0;
+  QueryPipeline::BatchStats batch;
   Samples response;
   double queue_sum = 0.0;
 
   void add(const QueryStats& s) {
-    ++queries;
-    executed_tasks += s.total_balls();
-    stolen_tasks += s.stolen_tasks;
-    cache_hits += s.cache_hits();
-    cache_misses += s.cache_misses();
-    demand_bfs_seconds += s.bfs_seconds();
-    peak_bytes = std::max(peak_bytes, s.peak_bytes);
-    aggregator_evictions += s.aggregator_evictions;
-    peak_aggregator_entries =
-        std::max(peak_aggregator_entries, s.aggregator_entries);
-    dispatch_retries += s.dispatch_retries();
-    deadline_misses += s.deadline_misses();
-    failovers += s.failovers();
-    failed_balls += s.failed_balls();
+    ++batch.queries;
+    batch.executed_tasks += s.total_balls();
+    batch.stolen_tasks += s.stolen_tasks;
+    batch.cache_hits += s.cache_hits();
+    batch.cache_misses += s.cache_misses();
+    batch.demand_bfs_seconds += s.bfs_seconds();
+    batch.peak_bytes = std::max(batch.peak_bytes, s.peak_bytes);
+    batch.aggregator_evictions += s.aggregator_evictions;
+    batch.peak_aggregator_entries =
+        std::max(batch.peak_aggregator_entries, s.aggregator_entries);
+    batch.dispatch_retries += s.dispatch_retries();
+    batch.deadline_misses += s.deadline_misses();
+    batch.failovers += s.failovers();
+    batch.failed_balls += s.failed_balls();
     switch (s.outcome()) {
       case QueryOutcome::kOk:
         break;
       case QueryOutcome::kDegraded:
-        ++degraded_queries;
+        ++batch.degraded_queries;
         break;
       case QueryOutcome::kFailed:
-        ++failed_queries;
+        ++batch.failed_queries;
         break;
     }
     response.add(s.total_seconds);
     queue_sum += s.queue_seconds;
   }
 
-  void fill(QueryPipeline::BatchStats& bs) const {
-    bs.queries = queries;
-    bs.executed_tasks = executed_tasks;
-    bs.stolen_tasks = stolen_tasks;
-    bs.cache_hits = cache_hits;
-    bs.cache_misses = cache_misses;
-    bs.demand_bfs_seconds = demand_bfs_seconds;
-    bs.peak_bytes = peak_bytes;
-    bs.aggregator_evictions = aggregator_evictions;
-    bs.peak_aggregator_entries = peak_aggregator_entries;
-    bs.dispatch_retries = dispatch_retries;
-    bs.deadline_misses = deadline_misses;
-    bs.failovers = failovers;
-    bs.failed_balls = failed_balls;
-    bs.degraded_queries = degraded_queries;
-    bs.failed_queries = failed_queries;
+  /// The per-query sums plus the response-time percentiles.
+  [[nodiscard]] QueryPipeline::BatchStats finish() const {
+    QueryPipeline::BatchStats bs = batch;
     if (!response.empty()) {
       bs.response_p50_seconds = response.percentile(50.0);
       bs.response_p99_seconds = response.percentile(99.0);
       bs.response_p999_seconds = response.percentile(99.9);
       bs.max_response_seconds = response.max();
-      bs.mean_queue_seconds = queue_sum / static_cast<double>(queries);
+      bs.mean_queue_seconds = queue_sum / static_cast<double>(bs.queries);
     }
+    return bs;
   }
 };
 
 /// Scope guard: the lookahead contract ("no prefetch thread touches any
-/// cache passed earlier after query_stream() returns", pins expire with the
-/// batch) must hold on the throw path too — a caller that tears the cache
-/// down after catching a batch error would otherwise race live prefetch
-/// threads. Quiesce is idempotent (the success path still quiesces
-/// explicitly before reading its stat deltas). drop_pins() is cache-global,
-/// so it only runs when the LAST concurrent batch on this pipeline drains —
-/// one batch finishing must not discard a still-running batch's live pins.
-/// A null cache (lookahead inactive) makes the guard a no-op.
+/// cache passed earlier after query_stream() returns") must hold on the
+/// throw path too — a caller that tears the cache down after catching a
+/// batch error would otherwise race live prefetch threads. Quiesce is
+/// idempotent (the success path still quiesces explicitly before reading
+/// its stat deltas). A null prefetcher (lookahead inactive) makes the guard
+/// a no-op.
 class LookaheadDrain {
  public:
-  LookaheadDrain(BallPrefetcher* prefetcher, ShardedBallCache* cache,
-                 std::atomic<std::size_t>& active_batches)
-      : prefetcher_(prefetcher),
-        cache_(cache),
-        active_batches_(active_batches) {
-    if (cache_ != nullptr) {
-      active_batches_.fetch_add(1, std::memory_order_acq_rel);
-    }
-  }
+  explicit LookaheadDrain(BallPrefetcher* prefetcher)
+      : prefetcher_(prefetcher) {}
   LookaheadDrain(const LookaheadDrain&) = delete;
   LookaheadDrain& operator=(const LookaheadDrain&) = delete;
   ~LookaheadDrain() {
-    if (cache_ == nullptr) return;
-    prefetcher_->quiesce();
-    if (active_batches_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      cache_->drop_pins();
-    }
+    if (prefetcher_ != nullptr) prefetcher_->quiesce();
   }
 
  private:
   BallPrefetcher* prefetcher_;
-  ShardedBallCache* cache_;
-  std::atomic<std::size_t>& active_batches_;
 };
 
 /// Serving-layer counters (cache + prefetcher + shared-backend health)
@@ -309,8 +268,6 @@ class ServingDeltas {
     if (cache_ != nullptr) {
       dedup_ = cache_->dedup_hits();
       rejects_ = cache_->admission_rejects();
-      pin_hits_ = cache_->pin_hits();
-      reextract_ = cache_->root_reextractions();
     }
     if (prefetcher_ != nullptr) {
       issued_ = prefetcher_->issued();
@@ -335,8 +292,6 @@ class ServingDeltas {
     if (cache_ != nullptr) {
       bs.dedup_hits = cache_->dedup_hits() - dedup_;
       bs.cache_admission_rejects = cache_->admission_rejects() - rejects_;
-      bs.root_prefetch_pin_hits = cache_->pin_hits() - pin_hits_;
-      bs.root_reextractions = cache_->root_reextractions() - reextract_;
     }
     if (prefetcher_ != nullptr) {
       bs.prefetch_issued = prefetcher_->issued() - issued_;
@@ -352,8 +307,6 @@ class ServingDeltas {
   DiffusionBackend* backend_;
   std::size_t dedup_ = 0;
   std::size_t rejects_ = 0;
-  std::size_t pin_hits_ = 0;
-  std::size_t reextract_ = 0;
   std::size_t issued_ = 0;
   std::size_t fetched_ = 0;
   std::size_t failures_ = 0;
@@ -387,11 +340,10 @@ void QueryPipeline::query_stream(SeedStream& stream,
   // The wall clock starts AFTER activation so the first batch's q/s does
   // not pay the one-time prefetch-thread spawn.
   Timer wall;
-  LookaheadDrain drain(prefetcher_.get(), lookahead, active_batches_);
+  LookaheadDrain drain(lookahead != nullptr ? prefetcher_.get() : nullptr);
   ServingDeltas deltas(engine_->shared_ball_cache(), prefetcher_.get(),
                        shared_backend_);
 
-  RootPrefetchTelemetry root_telemetry;
   util::Mutex tally_mu;
   QueryTally tally;
   if (batch_stats != nullptr) {
@@ -402,27 +354,20 @@ void QueryPipeline::query_stream(SeedStream& stream,
       }
       on_result(index, std::move(r));
     };
-    run_stream_batch(stream, sink, lookahead, root_telemetry);
+    run_stream_batch(stream, sink, lookahead);
   } else {
-    run_stream_batch(stream, on_result, lookahead, root_telemetry);
+    run_stream_batch(stream, on_result, lookahead);
   }
 
   // Quiesce before reading deltas (and before the caller may tear the
   // cache down): queued lookahead from the stream's tail would otherwise
-  // keep prefetch threads touching the cache after we return. Unclaimed
-  // pins expire when the last concurrent batch drains (LookaheadDrain) —
-  // their speculation did not pay off, and holding them across batches
-  // would leak footprint.
+  // keep prefetch threads touching the cache after we return.
   if (lookahead != nullptr) prefetcher_->quiesce();
 
   if (batch_stats != nullptr) {
-    *batch_stats = BatchStats{};
-    tally.fill(*batch_stats);
+    *batch_stats = tally.finish();
     batch_stats->wall_seconds = wall.elapsed_seconds();
     deltas.fill(*batch_stats);
-    batch_stats->root_prefetch_issued = root_telemetry.issued;
-    batch_stats->last_root_prefetch_window = root_telemetry.last_window;
-    batch_stats->prefetch_idle_fraction = root_telemetry.idle_fraction;
   }
 }
 
@@ -500,93 +445,8 @@ std::size_t tree_bytes(const TreeNode& node) {
 
 void QueryPipeline::run_stream_batch(SeedStream& stream,
                                      const ResultSink& on_result,
-                                     ShardedBallCache* lookahead,
-                                     RootPrefetchTelemetry& telemetry) {
+                                     ShardedBallCache* lookahead) {
   const std::size_t mask_words = (threads_ + 63) / 64;
-
-  // --- Cross-query root lookahead (ROADMAP "Cross-query root prefetch").
-  // Unlike stage lookahead (which only knows children once a parent
-  // finishes), the batch knows every upcoming seed up front: the stage-0
-  // balls of the next W unclaimed queries are fed to the prefetch
-  // threads, so a freshly claimed query starts on a warm ball instead of
-  // paying cold-start BFS. `root_horizon` marks how far into the stream
-  // lookahead has been issued — an atomic max so each seed is enqueued
-  // once however many workers claim concurrently. W comes from the
-  // adaptive controller (prefetch-thread idle fraction, EWMA ball bytes)
-  // and is always capped by the spare-budget throttle:
-  // speculation may consume spare capacity, at most 1/8 of the budget —
-  // min, not max, so a FULL cache stops speculating entirely instead of
-  // churning at 1/8-budget rate (the PR 4 inversion this fixes).
-  // Correctness never depends on any of it — an unprefetched root just
-  // pays its own BFS, and the cache's in-flight dedup absorbs any race
-  // with the claiming worker.
-  std::atomic<std::size_t> root_horizon{0};
-  std::atomic<std::size_t> roots_issued{0};
-  const unsigned root_radius = engine_->config().stage_lengths.front();
-  const auto root_lookahead = [&](std::size_t next_unclaimed) {
-    if (lookahead == nullptr) return;
-    const std::size_t bytes = lookahead->bytes();
-    const std::size_t budget = lookahead->byte_budget();
-    const std::size_t spare = budget > bytes ? budget - bytes : 0;
-    const std::size_t cap_bytes = std::min(spare, budget / 8);
-    // Stage-0 balls are what root lookahead extracts, so the byte cap is
-    // converted with the stage-0-radius size estimate — the mixed EWMA
-    // (the fallback before any stage-0 extraction completes) is dragged
-    // toward the often-smaller later-stage balls and would overcount the
-    // affordable seeds.
-    std::size_t ewma = lookahead->ewma_ball_bytes(root_radius);
-    if (ewma == 0) ewma = lookahead->ewma_ball_bytes();
-    const std::size_t window = window_controller_.window(
-        prefetcher_->busy_seconds(), uptime_.elapsed_seconds(),
-        prefetcher_->threads(), ewma, cap_bytes);
-    // Snapshot the upcoming seeds under the stream lock: the window is
-    // additionally clamped to what has actually ARRIVED (a later claim
-    // re-extends the horizon as the stream grows), and the CAS still
-    // guarantees each stream index is issued at most once however many
-    // workers claim concurrently.
-    std::vector<graph::NodeId> upcoming;
-    std::size_t from = 0;
-    {
-      util::MutexLock lock(stream.mu_);
-      const std::size_t to =
-          std::min(stream.slots_.size(), next_unclaimed + window);
-      from = root_horizon.load(std::memory_order_relaxed);
-      while (from < to && !root_horizon.compare_exchange_weak(
-                              from, to, std::memory_order_relaxed)) {
-      }
-      if (from >= to) return;  // covered already, or nothing arrived yet
-      // The horizon can lag the claim cursor (a narrowed window leaves a
-      // gap; concurrent claims land out of order): seeds below
-      // `next_unclaimed` are already claimed, so prefetching them is pure
-      // waste — advance the horizon past them without issuing.
-      from = std::max(from, next_unclaimed);
-      upcoming.reserve(to - from);
-      for (std::size_t i = from; i < to; ++i) {
-        upcoming.push_back(stream.slots_[i].seed);
-      }
-    }
-    // Issue outside the lock so extraction enqueue never blocks arrivals.
-    for (std::size_t j = 0; j < upcoming.size(); ++j) {
-      // Pinned handoff: the ball stays in the cache's pinned side-table
-      // until its seed is claimed, so a TinyLFU retention rejection cannot
-      // waste the prefetch BFS. The stream index doubles as the claim
-      // priority: under pin-table capacity pressure the seeds closest to
-      // claim keep their pins.
-      prefetcher_->enqueue(*lookahead, upcoming[j], root_radius,
-                           ShardedBallCache::FetchKind::kPinnedRootPrefetch,
-                           /*claim_priority=*/from + j);
-    }
-    roots_issued.fetch_add(upcoming.size(), std::memory_order_relaxed);
-  };
-  // Queue the head of the stream up front. Against a CPU-style backend
-  // (no wait meter) these run immediately, before the workers' first
-  // claims; under the farm-wait meter they sit queued until the first
-  // dispatch enters the farm — by the meter's own logic the host cores
-  // belong to the workers' initial stage-0 BFS until then — and warm the
-  // rest of the window the moment device time starts flowing. Either way
-  // the cache's in-flight dedup keeps a racing demand fetch from
-  // duplicating the BFS.
-  root_lookahead(0);
 
   std::vector<std::unique_ptr<WorkerDeque>> deques;
   deques.reserve(threads_);
@@ -798,14 +658,12 @@ void QueryPipeline::run_stream_batch(SeedStream& stream,
           graph::NodeId seed = graph::kInvalidNode;
           double arrival = 0.0;
           std::size_t index = 0;
-          std::size_t cursor_after = 0;
           {
             util::MutexLock lock(stream.mu_);
             if (stream.next_claim_ < stream.slots_.size()) {
               index = stream.next_claim_++;
               seed = stream.slots_[index].seed;
               arrival = stream.slots_[index].arrival_seconds;
-              cursor_after = stream.next_claim_;
               // Raise `live` INSIDE the claim section: an exiting worker
               // re-reads the cursor under this lock, so it can never see
               // "fully claimed" without also seeing this query in flight.
@@ -832,8 +690,6 @@ void QueryPipeline::run_stream_batch(SeedStream& stream,
               util::MutexLock lock(inflight_mu);
               inflight.emplace(index, std::move(fresh));
             }
-            // Slide the root-lookahead window past the seed just claimed.
-            root_lookahead(cursor_after);
           }
         }
         if (!have) {  // 3. steal, FIFO — victim's oldest (biggest) subtree
@@ -889,14 +745,6 @@ void QueryPipeline::run_stream_batch(SeedStream& stream,
     // returns above, where leftovers unwind with the map instead).
     util::MutexLock lock(inflight_mu);
     MELO_CHECK(inflight.empty());
-  }
-  telemetry.issued = roots_issued.load(std::memory_order_relaxed);
-  // Window/idle telemetry belongs to THIS batch: zeros unless root
-  // lookahead was actually active here (approximate under concurrent
-  // batches sharing the controller, like the other deltas).
-  if (lookahead != nullptr) {
-    telemetry.last_window = window_controller_.last_window();
-    telemetry.idle_fraction = window_controller_.idle_fraction();
   }
 }
 

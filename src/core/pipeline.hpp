@@ -42,21 +42,11 @@
 // Prefetch never affects scores; a missed prefetch just means the demand
 // fetch pays the BFS itself.
 //
-// The same prefetch threads serve two further lookahead refinements, both
-// always on while lookahead is active:
-//   * Cross-query root prefetch — the stream knows every arrived seed, so
-//     the stage-0 balls of the next W unclaimed queries stream into the
-//     cache ahead of their claim, hiding cold-start BFS. W comes from an
-//     AdaptiveWindowController between kRootWindowFloor and
-//     kRootWindowCeiling, and is capped by the cache's spare byte budget
-//     so a small cache is never thrashed by speculation. Every root
-//     prefetch is pinned until its seed is claimed, so a TinyLFU retention
-//     rejection cannot waste the BFS.
-//   * Farm-wait metering — with a shared offloading backend, lookahead
-//     pauses while it reports zero active dispatches: an idle farm means
-//     no worker is blocked device-side, so the host's cores belong to the
-//     demand path and extra BFS threads would oversubscribe them. Resumes
-//     the moment a dispatch enters the farm.
+// Farm-wait metering: with a shared offloading backend, lookahead pauses
+// while it reports zero active dispatches — an idle farm means no worker is
+// blocked device-side, so the host's cores belong to the demand path and
+// extra BFS threads would oversubscribe them. It resumes the moment a
+// dispatch enters the farm.
 //
 // Backend policy: a thread_safe() backend (CpuBackend, FpgaFarm) is shared
 // by all workers — the farm then receives genuinely concurrent dispatches,
@@ -71,7 +61,6 @@
 // "T balls at a time + outcome tree + aggregator" instead of one ball.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -82,7 +71,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/adaptive_window.hpp"
 #include "core/config.hpp"
 #include "core/engine.hpp"
 #include "core/prefetcher.hpp"
@@ -99,9 +87,7 @@ namespace meloppr::core {
 /// stream's own monotonic clock; that stamp is what makes
 /// QueryStats::total_seconds an arrival→finalize response time (and
 /// queue_seconds the arrival→claim wait) instead of the claim-clocked
-/// service time the scheduler used to report. The root-prefetch lookahead
-/// window reads upcoming seeds from the same stream, clamped to what has
-/// actually arrived.
+/// service time the scheduler used to report.
 ///
 /// A stream is single-use: fill/close it, hand it to exactly one
 /// query_stream call (pushes may continue while that call runs), and
@@ -169,23 +155,12 @@ class QueryPipeline {
     std::size_t dedup_hits = 0;      ///< joins of an in-flight extraction
     std::size_t prefetch_issued = 0;
     std::size_t prefetched_balls = 0;  ///< lookahead BFS actually performed
-    /// Of prefetch_issued, the requests raised by the cross-query root
-    /// prefetcher (stage-0 balls of upcoming seeds) rather than stage
-    /// lookahead.
-    std::size_t root_prefetch_issued = 0;
-    /// Demand fetches served from the pinned prefetch side-table — root
-    /// lookahead that paid off despite a TinyLFU retention rejection or a
-    /// pre-claim eviction.
-    std::size_t root_prefetch_pin_hits = 0;
-    /// Root-prefetched balls whose BFS a claiming worker paid AGAIN (0
-    /// while the pin table has capacity).
+    /// Always 0: the pipeline has no cross-query root lookahead, so no
+    /// root-prefetched ball is ever re-extracted and no root window exists.
+    /// Both fields stay only because the repo benchmark (perfbench) still
+    /// reads them; they go with its next revision.
     std::size_t root_reextractions = 0;
-    /// Width the root-prefetch window controller chose on its last step of
-    /// this batch (0 when root lookahead never ran).
     std::size_t last_root_prefetch_window = 0;
-    /// Smoothed prefetch-thread idle fraction at batch end, in [0, 1]
-    /// (adaptive controller telemetry; 0 when the controller never ran).
-    double prefetch_idle_fraction = 0.0;
     /// Balls the cache served but declined to retain because a resident
     /// victim was estimated hotter (CacheAdmission::kTinyLFU only).
     std::size_t cache_admission_rejects = 0;
@@ -297,12 +272,6 @@ class QueryPipeline {
   [[nodiscard]] const AggregatorPool& aggregator_pool() const {
     return agg_pool_;
   }
-  /// Bounds of the cross-query root-prefetch window, in seeds. The floor
-  /// is the width the controller holds before it has a ball-size estimate
-  /// and never narrows below while the byte cap allows it; idle prefetch
-  /// threads widen the window toward the ceiling.
-  static constexpr std::size_t kRootWindowFloor = 4;
-  static constexpr std::size_t kRootWindowCeiling = 32;
 
  private:
   /// Enqueues `count` jobs fn(job_index, worker_id) and blocks until all
@@ -314,26 +283,14 @@ class QueryPipeline {
 
   void worker_loop(std::size_t worker_id);
 
-  /// Per-batch root-lookahead accounting, filled by run_stream_batch so a
-  /// batch never reports another batch's controller state (the controller
-  /// is shared pipeline state; a batch without root lookahead reports
-  /// zeros).
-  struct RootPrefetchTelemetry {
-    std::size_t issued = 0;
-    std::size_t last_window = 0;  ///< 0 unless root lookahead ran
-    double idle_fraction = 0.0;   ///< 0 unless the controller ran
-  };
-
   /// The work-stealing scheduler over a (possibly still growing) seed
   /// stream — every query runs through here. Results are
   /// delivered through `on_result` as each query finalizes; serving-layer
   /// deltas are taken by the caller around this call. `lookahead` is the
   /// cache activate_lookahead() returned for this batch (nullptr: no
-  /// lookahead). `telemetry` receives this batch's root-lookahead
-  /// accounting.
+  /// lookahead).
   void run_stream_batch(SeedStream& stream, const ResultSink& on_result,
-                        ShardedBallCache* lookahead,
-                        RootPrefetchTelemetry& telemetry);
+                        ShardedBallCache* lookahead);
 
   [[nodiscard]] DiffusionBackend& backend_for(std::size_t worker_id) {
     return shared_backend_ != nullptr ? *shared_backend_
@@ -360,16 +317,6 @@ class QueryPipeline {
 
   std::once_flag prefetcher_once_;
   std::unique_ptr<BallPrefetcher> prefetcher_;
-  /// Width controller for the cross-query root-prefetch window.
-  AdaptiveWindowController window_controller_{kRootWindowFloor,
-                                              kRootWindowCeiling};
-  /// Batches with active lookahead currently in flight on this
-  /// pipeline — drop_pins() (cache-global) runs only when the last one
-  /// drains, so concurrent batches cannot discard each other's pins.
-  std::atomic<std::size_t> active_batches_{0};
-  /// Monotonic wall clock shared by the controller's idle-fraction
-  /// differentiation (starts with the pipeline).
-  Timer uptime_;
   AggregatorPool agg_pool_;
 
   std::vector<std::thread> workers_;

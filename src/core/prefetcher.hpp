@@ -14,15 +14,8 @@
 // fire-and-forget queue of (cache, root, radius) requests. Correctness never
 // depends on it — a dropped or late prefetch only means the demand fetch
 // pays the BFS itself, and the cache's in-flight dedup guarantees a demand
-// fetch racing a prefetch of the same ball never extracts twice.
-//
-// Requests come in two classes with strict priority between them (ROADMAP
-// "Root-prefetch queue priority"): stage lookahead (the children of a task
-// that just finished — needed within the CURRENT query, often milliseconds
-// from claim) always drains before cross-query root lookahead (speculation
-// about upcoming seeds, useful whole queries from now). A wide adaptive
-// root window can therefore never queue ahead of, and delay, the
-// stage-children prefetches the in-flight query is about to demand.
+// fetch racing a prefetch of the same ball never extracts twice. Requests
+// drain in FIFO order.
 #pragma once
 
 #include <atomic>
@@ -63,19 +56,8 @@ class BallPrefetcher {
   /// immediately; the extraction happens on a prefetch thread. `cache`
   /// must stay alive until quiesce() returns — the pipeline quiesces at
   /// the end of every query()/query_batch(), so callers only need the
-  /// cache to outlive the query call, not the pipeline. `kind` is the
-  /// FetchKind the worker passes to the cache: plain stage lookahead by
-  /// default, or kPinnedRootPrefetch so the cache can record and pin
-  /// cross-query speculation — and it also selects the queue class:
-  /// root-prefetch requests wait in a separate queue that workers only
-  /// touch when no stage-lookahead request is pending. `claim_priority`
-  /// (root prefetch) is the seed's stream index, forwarded to the cache's
-  /// pin-table admission.
-  void enqueue(ShardedBallCache& cache, graph::NodeId root, unsigned radius,
-               ShardedBallCache::FetchKind kind =
-                   ShardedBallCache::FetchKind::kPrefetch,
-               std::size_t claim_priority =
-                   ShardedBallCache::kNoClaimPriority);
+  /// cache to outlive the query call, not the pipeline.
+  void enqueue(ShardedBallCache& cache, graph::NodeId root, unsigned radius);
 
   /// Discards queued (not yet started) requests and waits for in-flight
   /// ones to finish: after this returns, no prefetch thread touches any
@@ -100,41 +82,23 @@ class BallPrefetcher {
   /// (run concurrently with) the demand path.
   [[nodiscard]] double hidden_seconds() const;
 
-  /// Cumulative wall seconds the prefetch threads spent processing
-  /// requests (including cache-hit requests that ran no BFS, unlike
-  /// hidden_seconds). The adaptive root-prefetch controller differentiates
-  /// this against wall time to estimate the threads' idle fraction:
-  /// busy ≈ threads·wall means lookahead is saturated, busy ≈ 0 means
-  /// capacity is going unused. Pause-gated time (the farm-wait meter)
-  /// intentionally counts as idle.
-  [[nodiscard]] double busy_seconds() const;
-
-  [[nodiscard]] std::size_t threads() const { return workers_.size(); }
-
  private:
   struct Request {
     ShardedBallCache* cache;
     graph::NodeId root;
     unsigned radius;
-    ShardedBallCache::FetchKind kind;
-    std::size_t claim_priority;
   };
 
   void worker_loop() MELOPPR_EXCLUDES(mu_);
 
   std::function<bool()> pause_;  ///< farm-wait meter gate (may be empty)
   mutable util::Mutex mu_;
-  /// Two-class queue: stage lookahead strictly before speculative roots.
-  /// Workers drain stage_queue_ first; root_queue_ is only popped when no
-  /// stage request is pending.
-  std::deque<Request> stage_queue_ MELOPPR_GUARDED_BY(mu_);
-  std::deque<Request> root_queue_ MELOPPR_GUARDED_BY(mu_);
+  std::deque<Request> queue_ MELOPPR_GUARDED_BY(mu_);
   std::condition_variable work_available_;
   std::condition_variable idle_;      ///< signaled when in-flight drains
   bool stop_ MELOPPR_GUARDED_BY(mu_) = false;
   std::size_t in_flight_ MELOPPR_GUARDED_BY(mu_) = 0;
   double hidden_seconds_ MELOPPR_GUARDED_BY(mu_) = 0.0;
-  double busy_seconds_ MELOPPR_GUARDED_BY(mu_) = 0.0;
 
   std::atomic<std::size_t> issued_{0};
   std::atomic<std::size_t> completed_{0};

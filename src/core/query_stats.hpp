@@ -32,10 +32,6 @@ struct StageStats {
   /// snapshot is taken as one consistent unit.
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
-  /// Of cache_hits, the ones served from the pinned prefetch side-table —
-  /// a root-prefetched ball that was admission-rejected (or evicted before
-  /// its claim) and would have been re-extracted without the handoff.
-  std::size_t cache_pin_hits = 0;
 
   /// Fault-tolerance accounting (all zero on a healthy stack).
   /// Extra dispatch attempts the backend's retry layer consumed for this
@@ -74,7 +70,6 @@ struct StageStats {
     edge_ops += other.edge_ops;
     cache_hits += other.cache_hits;
     cache_misses += other.cache_misses;
-    cache_pin_hits += other.cache_pin_hits;
     dispatch_retries += other.dispatch_retries;
     deadline_misses += other.deadline_misses;
     failovers += other.failovers;
@@ -204,12 +199,6 @@ struct QueryStats {
   [[nodiscard]] std::size_t cache_misses() const {
     std::size_t s = 0;
     for (const auto& st : stages) s += st.cache_misses;
-    return s;
-  }
-  /// Hits served from the pinned prefetch side-table (⊆ cache_hits()).
-  [[nodiscard]] std::size_t cache_pin_hits() const {
-    std::size_t s = 0;
-    for (const auto& st : stages) s += st.cache_pin_hits;
     return s;
   }
   /// Ball-cache hit rate over this query's extractions (0 when no cache).

@@ -121,9 +121,11 @@ void ServingFrontEnd::dispatcher_loop() {
 
     // Form one batch: round-robin one query per tenant per pass (a
     // flooding tenant delays itself, not the others), cut by the latency
-    // budget — Σ service estimates, never count — then by max_batch.
+    // budget — Σ service estimates, never count — then by max_batch and
+    // by the in-flight room left, so max_in_flight is a hard bound.
     std::vector<Pending> batch;
-    while (queued_ > 0 && batch.size() < config_.max_batch) {
+    while (queued_ > 0 && batch.size() < config_.max_batch &&
+           dispatched_.size() + batch.size() < max_in_flight) {
       if (!batch.empty() && config_.batch_budget_seconds > 0.0 &&
           static_cast<double>(batch.size() + 1) * service_estimate_ >
               config_.batch_budget_seconds) {

@@ -69,7 +69,8 @@ struct ServingConfig {
   /// Hard count cap per formed batch.
   std::size_t max_batch = 64;
   /// Dispatched-but-uncompleted queries the dispatcher keeps in the
-  /// pipeline before waiting for completions; 0 resolves to
+  /// pipeline before waiting for completions — a hard bound: batch
+  /// formation stops once it is reached. 0 resolves to
   /// max(4 * pipeline threads, 16). Bounds the scheduler-side queue the
   /// same way queue_capacity bounds admission.
   std::size_t max_in_flight = 0;

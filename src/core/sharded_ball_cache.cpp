@@ -114,21 +114,6 @@ void ShardedBallCache::invalidate_edge(const graph::EdgeUpdate& update,
       shard.map.erase(it);
       invalidations_.fetch_add(1, std::memory_order_relaxed);
     }
-    // Pins: the table is small and bounded, a direct membership scan is
-    // cheaper than indexing it.
-    for (auto it = shard.pinned.begin(); it != shard.pinned.end();) {
-      if (it->second.ball->contains(update.u) ||
-          it->second.ball->contains(update.v)) {
-        pinned_bytes_.fetch_sub(it->second.ball->bytes(),
-                                std::memory_order_relaxed);
-        pinned_count_.fetch_sub(1, std::memory_order_relaxed);
-        pins_expired_.fetch_add(1, std::memory_order_relaxed);
-        invalidations_.fetch_add(1, std::memory_order_relaxed);
-        it = shard.pinned.erase(it);
-      } else {
-        ++it;
-      }
-    }
     // In-flight extractions are left alone: the insert-time staleness gate
     // (and the joiners' min_version check) keeps their results out.
   }
@@ -153,12 +138,8 @@ ShardedBallCache::BallPtr ShardedBallCache::peek(const BallKey& key) const {
 ShardedBallCache::ShardedBallCache(const graph::Graph& g,
                                    std::size_t byte_budget,
                                    std::size_t shards,
-                                   CacheAdmission admission,
-                                   std::size_t pin_capacity)
-    : graph_(&g),
-      budget_(byte_budget),
-      admission_(admission),
-      pin_capacity_(pin_capacity) {
+                                   CacheAdmission admission)
+    : graph_(&g), budget_(byte_budget), admission_(admission) {
   if (byte_budget == 0) {
     throw std::invalid_argument(
         "ShardedBallCache: byte budget must be positive");
@@ -181,7 +162,7 @@ ShardedBallCache::ShardedBallCache(const graph::Graph& g,
 }
 
 void ShardedBallCache::count_hit(FetchKind kind, bool deduped) {
-  if (is_prefetch(kind)) {
+  if (kind == FetchKind::kPrefetch) {
     prefetch_hits_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
@@ -190,101 +171,16 @@ void ShardedBallCache::count_hit(FetchKind kind, bool deduped) {
 }
 
 void ShardedBallCache::count_miss(FetchKind kind) {
-  if (is_prefetch(kind)) {
+  if (kind == FetchKind::kPrefetch) {
     prefetch_misses_.fetch_add(1, std::memory_order_relaxed);
   } else {
     misses_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
-void ShardedBallCache::note_extraction(Shard& shard, const BallKey& key,
-                                       FetchKind kind, std::size_t incoming) {
-  // Smoothing factor of the recent-ball-bytes EWMAs: heavy enough to
-  // track a shifting working set within a dozen extractions, light
-  // enough that one hub ball does not whipsaw the adaptive window.
-  constexpr double kEwmaAlpha = 0.2;
-  const auto fold = [incoming](std::atomic<double>& ewma) {
-    double cur = ewma.load(std::memory_order_relaxed);
-    double next;
-    do {
-      next = cur == 0.0 ? static_cast<double>(incoming)
-                        : cur + kEwmaAlpha * (static_cast<double>(incoming) -
-                                              cur);
-    } while (!ewma.compare_exchange_weak(cur, next,
-                                         std::memory_order_relaxed));
-  };
-  fold(ewma_ball_bytes_);
-  fold(ewma_by_radius_[radius_slot(key.radius)]);
-
-  if (kind == FetchKind::kPinnedRootPrefetch) {
-    if (shard.root_prefetched.size() < kRootRecordCap) {
-      shard.root_prefetched.insert(key);
-    }
-  } else if (kind == FetchKind::kDemand && !shard.root_prefetched.empty() &&
-             shard.root_prefetched.erase(key) > 0) {
-    // The demand path just re-ran a BFS that a root prefetch already paid
-    // for — the waste the pinned handoff eliminates.
-    root_reextractions_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void ShardedBallCache::maybe_pin(Shard& shard, const BallKey& key,
-                                 const BallPtr& ball,
-                                 std::size_t claim_priority,
-                                 std::uint64_t version) {
-  if (pin_capacity_ == 0 || ball == nullptr) return;
-  if (const auto it = shard.pinned.find(key); it != shard.pinned.end()) {
-    // Re-pinned key: keep the better (closer-to-claim) priority so a
-    // re-issued speculation cannot demote an earlier, nearer one.
-    it->second.priority = std::min(it->second.priority, claim_priority);
-    return;
-  }
-  // Strictly bounded: the table never grows past pin_capacity_ — pins live
-  // one batch at most, and a hard memory bound matters more than fairness
-  // between speculative seeds.
-  if (pinned_count_.fetch_add(1, std::memory_order_relaxed) >=
-      pin_capacity_) {
-    pinned_count_.fetch_sub(1, std::memory_order_relaxed);
-    // Capacity pressure: seeds closest to claim win (ROADMAP "Pin-table
-    // admission"). If the newcomer is strictly closer than this shard's
-    // farthest-from-claim pin, that pin yields its slot — its seed would
-    // be claimed later (or never: a stale horizon from an earlier claim),
-    // so it is the speculation least likely to pay off before the batch
-    // ends. Priority-less pins (kNoClaimPriority) never displace anything.
-    auto worst = shard.pinned.end();
-    for (auto it = shard.pinned.begin(); it != shard.pinned.end(); ++it) {
-      if (worst == shard.pinned.end() ||
-          it->second.priority > worst->second.priority) {
-        worst = it;
-      }
-    }
-    if (worst == shard.pinned.end() ||
-        worst->second.priority <= claim_priority) {
-      return;
-    }
-    pinned_bytes_.fetch_sub(worst->second.ball->bytes(),
-                            std::memory_order_relaxed);
-    pinned_count_.fetch_sub(1, std::memory_order_relaxed);
-    pins_expired_.fetch_add(1, std::memory_order_relaxed);
-    pin_displacements_.fetch_add(1, std::memory_order_relaxed);
-    shard.pinned.erase(worst);
-    if (pinned_count_.fetch_add(1, std::memory_order_relaxed) >=
-        pin_capacity_) {
-      // Another shard raced into the freed slot; the newcomer loses after
-      // all rather than breaching the bound.
-      pinned_count_.fetch_sub(1, std::memory_order_relaxed);
-      return;
-    }
-  }
-  shard.pinned.emplace(key, Shard::Pin{ball, claim_priority, version});
-  pinned_bytes_.fetch_add(ball->bytes(), std::memory_order_relaxed);
-  pins_installed_.fetch_add(1, std::memory_order_relaxed);
-}
-
 ShardedBallCache::Fetch ShardedBallCache::fetch(graph::NodeId root,
                                                 unsigned radius,
                                                 FetchKind kind,
-                                                std::size_t claim_priority,
                                                 std::uint64_t min_version) {
   const BallKey key{root, radius};
   Shard& shard = shard_for(key);
@@ -303,90 +199,18 @@ ShardedBallCache::Fetch ShardedBallCache::fetch(graph::NodeId root,
     if (shard.sketch != nullptr) shard.sketch->record(splitmix64(key.packed()));
     if (const auto it = shard.map.find(key); it != shard.map.end()) {
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);  // → MRU
-      if (kind == FetchKind::kDemand) {
-        // Emptiness guards keep these two probes off the hit fast path
-        // entirely for stacks that never root-prefetch (the tables stay
-        // empty, and this runs under the contended shard lock).
-        if (!shard.root_prefetched.empty()) {
-          // The claim was served: the root-prefetch record is settled
-          // (the speculation paid off), and any later demand extraction
-          // of this key is an ordinary capacity miss, not prefetch waste.
-          shard.root_prefetched.erase(key);
-        }
-        if (!shard.pinned.empty()) {
-          // A pin for the same key has nothing left to protect either;
-          // free the slot early.
-          if (const auto pin = shard.pinned.find(key);
-              pin != shard.pinned.end()) {
-            pinned_bytes_.fetch_sub(pin->second.ball->bytes(),
-                                    std::memory_order_relaxed);
-            pinned_count_.fetch_sub(1, std::memory_order_relaxed);
-            pins_expired_.fetch_add(1, std::memory_order_relaxed);
-            shard.pinned.erase(pin);
-          }
-        }
-      } else if (kind == FetchKind::kPinnedRootPrefetch) {
-        // Resident today is not resident at claim time: pin the ball so an
-        // eviction between now and the claim cannot undo the lookahead.
-        maybe_pin(shard, key, it->second->ball, claim_priority,
-                  it->second->version);
-      }
       count_hit(kind, /*deduped=*/false);
-      return {it->second->ball, /*hit=*/true, /*deduped=*/false,
-              /*pinned=*/false, 0.0, it->second->version};
-    }
-    if (!shard.pinned.empty()) {
-      if (const auto pin = shard.pinned.find(key); pin != shard.pinned.end()) {
-        // Pinned prefetch handoff: the ball was root-prefetched but not
-        // retained (TinyLFU rejection, or evicted since) — the pin makes
-        // the prefetch BFS useful anyway.
-        BallPtr ball = pin->second.ball;
-        const std::uint64_t pin_version = pin->second.version;
-        if (kind == FetchKind::kDemand) {
-          // The seed is claimed: consume the pin (and settle the root-
-          // prefetch record — the speculation paid off). The claim is
-          // also a second access, so give the ball a regular admission
-          // shot at residency (repeat seeds then hit the LRU directly); a
-          // lost duel just serves from the consumed pin.
-          shard.root_prefetched.erase(key);
-          pinned_bytes_.fetch_sub(ball->bytes(), std::memory_order_relaxed);
-          pinned_count_.fetch_sub(1, std::memory_order_relaxed);
-          pin_hits_.fetch_add(1, std::memory_order_relaxed);
-          shard.pinned.erase(pin);
-          const std::size_t incoming = ball->bytes();
-          if (incoming <= shard_budget_ && admit(shard, key, incoming)) {
-            shard.lru.push_front(Entry{key, ball, incoming, pin_version});
-            shard.map.emplace(key, shard.lru.begin());
-            shard.bytes += incoming;
-            total_bytes_.fetch_add(incoming, std::memory_order_relaxed);
-            if (dynamic_ != nullptr) index_ball(shard, key, *ball);
-          }
-        }
-        count_hit(kind, /*deduped=*/false);
-        return {std::move(ball), /*hit=*/true, /*deduped=*/false,
-                /*pinned=*/true, 0.0, pin_version};
-      }
+      return {it->second->ball, /*hit=*/true, /*deduped=*/false, 0.0,
+              it->second->version};
     }
     if (const auto it = shard.in_flight.find(key);
         it != shard.in_flight.end()) {
-      if (is_prefetch(kind)) {
+      if (kind == FetchKind::kPrefetch) {
         // The ball is already on its way into the cache; parking a
         // prefetch thread on someone else's BFS would serialize the whole
-        // lookahead pipeline for zero work. Report a (ball-less) hit. A
-        // pinned root prefetch still needs its handoff: mark the key so
-        // the completing extraction pins (and records) on its behalf —
-        // otherwise a root/stage-lookahead race on one key would silently
-        // skip the pin and the claim could re-pay the BFS.
-        if (kind == FetchKind::kPinnedRootPrefetch) {
-          const auto [pending, inserted] =
-              shard.pin_on_complete.emplace(key, claim_priority);
-          if (!inserted) {
-            pending->second = std::min(pending->second, claim_priority);
-          }
-        }
+        // lookahead pipeline for zero work. Report a (ball-less) hit.
         count_hit(kind, /*deduped=*/true);
-        return {nullptr, /*hit=*/true, /*deduped=*/true, /*pinned=*/false,
-                0.0};
+        return {nullptr, /*hit=*/true, /*deduped=*/true, 0.0};
       }
       // Another thread is extracting this very ball; wait for its result
       // outside the lock instead of duplicating the BFS.
@@ -412,8 +236,8 @@ ShardedBallCache::Fetch ShardedBallCache::fetch(graph::NodeId root,
         continue;
       }
       count_hit(kind, /*deduped=*/true);
-      return {std::move(extracted.ball), /*hit=*/true, /*deduped=*/true,
-              /*pinned=*/false, 0.0, extracted.version};
+      return {std::move(extracted.ball), /*hit=*/true, /*deduped=*/true, 0.0,
+              extracted.version};
     }
     shard.in_flight.emplace(key, promise.get_future().share());
   }
@@ -441,10 +265,6 @@ ShardedBallCache::Fetch ShardedBallCache::fetch(graph::NodeId root,
     {
       util::MutexLock lock(shard.mu);
       shard.in_flight.erase(key);
-      // A deduped pinned root prefetch may have asked this extraction to
-      // pin for it; the request dies with the extraction — a stale entry
-      // would misclassify the NEXT successful extraction of this key.
-      if (!shard.pin_on_complete.empty()) shard.pin_on_complete.erase(key);
     }
     count_miss(kind);  // the access happened; keep the totals honest
     throw;
@@ -478,26 +298,6 @@ ShardedBallCache::Fetch ShardedBallCache::fetch(graph::NodeId root,
         dynamic_ == nullptr ||
         (fresh && shard.last_invalidation_version <= checked_version);
     if (!retain) stale_rejects_.fetch_add(1, std::memory_order_relaxed);
-    // A deduped pinned root prefetch may have asked this extraction to
-    // pin on its behalf; honoring it counts as a root-prefetch extraction
-    // for the re-extraction records too, and the pin carries the best
-    // (lowest) claim priority any requester supplied.
-    bool pin_requested = false;
-    std::size_t pin_priority = claim_priority;
-    if (!shard.pin_on_complete.empty()) {
-      if (const auto pending = shard.pin_on_complete.find(key);
-          pending != shard.pin_on_complete.end()) {
-        pin_requested = true;
-        pin_priority = std::min(pin_priority, pending->second);
-        shard.pin_on_complete.erase(pending);
-      }
-    }
-    note_extraction(shard, key,
-                    pin_requested ? FetchKind::kPinnedRootPrefetch : kind,
-                    incoming);
-    if (retain && (kind == FetchKind::kPinnedRootPrefetch || pin_requested)) {
-      maybe_pin(shard, key, ball, pin_priority, ball_version);
-    }
     // clear() may have raced ahead of this insertion; re-check the map in
     // case another extraction of the same key landed first (possible only
     // across a clear()).
@@ -511,8 +311,8 @@ ShardedBallCache::Fetch ShardedBallCache::fetch(graph::NodeId root,
       if (dynamic_ != nullptr) index_ball(shard, key, *ball);
     }
   }
-  return {std::move(ball), /*hit=*/false, /*deduped=*/false,
-          /*pinned=*/false, extract_seconds, ball_version};
+  return {std::move(ball), /*hit=*/false, /*deduped=*/false, extract_seconds,
+          ball_version};
   }  // for (;;)
 }
 
@@ -631,12 +431,6 @@ ShardedBallCache::Stats ShardedBallCache::stats() const {
   s.prefetch_misses = prefetch_misses_.load(std::memory_order_relaxed);
   s.evictions = evictions_.load(std::memory_order_relaxed);
   s.admission_rejects = admission_rejects_.load(std::memory_order_relaxed);
-  s.pins_installed = pins_installed_.load(std::memory_order_relaxed);
-  s.pin_hits = pin_hits_.load(std::memory_order_relaxed);
-  s.pins_expired = pins_expired_.load(std::memory_order_relaxed);
-  s.pin_displacements = pin_displacements_.load(std::memory_order_relaxed);
-  s.root_reextractions =
-      root_reextractions_.load(std::memory_order_relaxed);
   s.extraction_failures =
       extraction_failures_.load(std::memory_order_relaxed);
   s.invalidations = invalidations_.load(std::memory_order_relaxed);
@@ -644,20 +438,6 @@ ShardedBallCache::Stats ShardedBallCache::stats() const {
   s.reverse_index_entries =
       reverse_index_entries_.load(std::memory_order_relaxed);
   return s;
-}
-
-void ShardedBallCache::drop_pins() {
-  for (const auto& shard : shards_) {
-    util::MutexLock lock(shard->mu);
-    for (const auto& [key, pin] : shard->pinned) {
-      pinned_bytes_.fetch_sub(pin.ball->bytes(), std::memory_order_relaxed);
-      pinned_count_.fetch_sub(1, std::memory_order_relaxed);
-      pins_expired_.fetch_add(1, std::memory_order_relaxed);
-    }
-    shard->pinned.clear();
-    shard->root_prefetched.clear();
-    shard->pin_on_complete.clear();
-  }
 }
 
 std::size_t ShardedBallCache::entries() const {
@@ -690,13 +470,6 @@ void ShardedBallCache::clear() {
     // before the reset would otherwise veto admission of the next working
     // set (every new ball would lose its duel against phantoms).
     if (shard->sketch != nullptr) shard->sketch->clear();
-    for (const auto& [key, pin] : shard->pinned) {
-      pinned_bytes_.fetch_sub(pin.ball->bytes(), std::memory_order_relaxed);
-      pinned_count_.fetch_sub(1, std::memory_order_relaxed);
-    }
-    shard->pinned.clear();
-    shard->root_prefetched.clear();
-    shard->pin_on_complete.clear();
     // The reverse index mirrors the residents, so it empties with them;
     // the gauge drops by exactly this shard's live pairs. NOTE:
     // last_invalidation_version is deliberately NOT reset — forgetting
@@ -710,10 +483,6 @@ void ShardedBallCache::clear() {
     shard->reverse_index.clear();
     // in_flight is left alone: those extractions complete normally.
   }
-  ewma_ball_bytes_.store(0.0, std::memory_order_relaxed);
-  for (std::atomic<double>& ewma : ewma_by_radius_) {
-    ewma.store(0.0, std::memory_order_relaxed);
-  }
   // Zero the counters as one unit: stats() holds the same mutex, so a
   // snapshot sees either the pre-reset or the post-reset world, never a
   // mix (the hit-rate race this fixes).
@@ -725,11 +494,6 @@ void ShardedBallCache::clear() {
   prefetch_misses_.store(0);
   evictions_.store(0);
   admission_rejects_.store(0);
-  pins_installed_.store(0);
-  pin_hits_.store(0);
-  pins_expired_.store(0);
-  pin_displacements_.store(0);
-  root_reextractions_.store(0);
   extraction_failures_.store(0);
   // The dynamic-mode counters reset with the rest (the PR 5 lesson:
   // every counter a snapshot reports must reset as one unit with it).

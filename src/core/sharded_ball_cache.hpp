@@ -52,27 +52,16 @@
 //     victims this selection would take, so the two policies never
 //     disagree. kAlways keeps pure LRU order.
 //
-//   * Pinned prefetch handoff. A root-prefetched ball (FetchKind::
-//     kPinnedRootPrefetch) is additionally held in a bounded per-shard
-//     side-table keyed by its BallKey, outside the LRU and outside the
-//     byte budget, until the first demand fetch consumes it or drop_pins()
-//     ends the batch. A TinyLFU retention rejection (or an eviction racing
-//     the claim) can therefore no longer waste the prefetch BFS: the
-//     claiming worker is served from the pin. Root prefetches also
-//     record their keys so root_reextractions can count a root-prefetched
-//     ball re-extracted on the demand path — zero while the pin table has
-//     capacity.
-//
 //   * Surgical invalidation (bind_dynamic_graph). Bound to a DynamicGraph,
 //     each shard maintains a reverse-reachability index (vertex → the
 //     cached BallKeys whose ball contains it, updated at insert/evict
 //     under the shard lock). An edge update then invalidates exactly the
-//     resident and pinned balls containing either endpoint — instead of
+//     resident balls containing either endpoint — instead of
 //     clear() — inside the graph's update listener, BEFORE the new version
 //     publishes. That ordering plus an insert-time staleness gate (an
 //     extraction that raced an update is served to its caller but never
 //     retained — stale_rejects) yields the serving invariant: every
-//     resident and pinned ball reflects all updates up to the current
+//     resident ball reflects all updates up to the current
 //     graph version, so a query stamped at admission is always served
 //     balls at least as fresh as its stamp. In-flight extractions are
 //     version-stamped; a demand fetch joining one whose result predates
@@ -86,7 +75,6 @@
 #include <cstdint>
 #include <functional>
 #include <future>
-#include <limits>
 #include <list>
 #include <memory>
 #include <unordered_map>
@@ -141,13 +129,9 @@ class ShardedBallCache {
 
   /// Who is asking — demand fetches feed hit_rate(); prefetch fetches are
   /// tallied separately so lookahead traffic cannot inflate it.
-  /// kPinnedRootPrefetch marks cross-query root lookahead: it records its
-  /// key for re-extraction accounting and holds the ball in the pinned
-  /// side-table until its seed is claimed.
   enum class FetchKind {
     kDemand,
-    kPrefetch,            ///< stage lookahead
-    kPinnedRootPrefetch,  ///< root lookahead with pinned handoff
+    kPrefetch,  ///< stage lookahead
   };
 
   /// What one fetch() did, for per-task attribution.
@@ -158,11 +142,10 @@ class ShardedBallCache {
     BallPtr ball;
     bool hit = false;      ///< served without running a BFS on this thread
     bool deduped = false;  ///< joined/observed another thread's extraction
-    bool pinned = false;   ///< served from the pinned prefetch side-table
     double extract_seconds = 0.0;  ///< BFS time paid by THIS call (0 on hit)
     /// Graph version the ball was extracted at (dynamic mode; 0 static).
-    /// Resident/pinned balls are additionally current: they reflect every
-    /// update up to the graph version at the time they were served.
+    /// Resident balls are additionally current: they reflect every update
+    /// up to the graph version at the time they were served.
     std::uint64_t version = 0;
   };
 
@@ -171,41 +154,25 @@ class ShardedBallCache {
   /// `admission` selects the retention policy (see CacheAdmission in
   /// config.hpp); kTinyLFU costs ~4 KiB of sketch per shard and one sketch
   /// update per fetch, both under the shard lock the fetch already holds.
-  /// `pin_capacity` bounds the pinned side-table (total entries across all
-  /// shards; pins beyond it are skipped, never evict one another).
   /// Throws std::invalid_argument on a zero budget.
   ShardedBallCache(const graph::Graph& g, std::size_t byte_budget,
                    std::size_t shards = 0,
-                   CacheAdmission admission = CacheAdmission::kAlways,
-                   std::size_t pin_capacity = kDefaultPinCapacity);
+                   CacheAdmission admission = CacheAdmission::kAlways);
   /// Unregisters the dynamic-graph listener, if bound.
   ~ShardedBallCache();
-
-  /// "No claim-order information": the default claim priority, losing every
-  /// pin-table capacity duel (see fetch()).
-  static constexpr std::size_t kNoClaimPriority =
-      std::numeric_limits<std::size_t>::max();
 
   /// Returns the ball around `root` with the given radius, extracting it on
   /// a miss (or waiting for a concurrent extraction of the same key). Safe
   /// from any number of threads.
   ///
-  /// `claim_priority` (root-prefetch kinds only) is the seed's distance
-  /// from claim — the pipeline passes the stream index, so lower = claimed
-  /// sooner. Under pin-table capacity pressure the seeds closest to claim
-  /// win: a new pin strictly closer than the shard's farthest-from-claim
-  /// pin displaces it (pin_displacements counts these); with the default
-  /// kNoClaimPriority the new pin is simply skipped, as before.
-  ///
   /// `min_version` (dynamic mode only) is the graph version the caller's
   /// query was admitted at: the fetch never serves a ball reflecting an
-  /// older state. Residents and pins always satisfy it (they are kept
-  /// current by invalidation); only a joined in-flight extraction that
-  /// started before the caller's admission can fail it, in which case the
-  /// fetch re-extracts at the current version instead.
+  /// older state. Residents always satisfy it (they are kept current by
+  /// invalidation); only a joined in-flight extraction that started before
+  /// the caller's admission can fail it, in which case the fetch
+  /// re-extracts at the current version instead.
   Fetch fetch(graph::NodeId root, unsigned radius,
               FetchKind kind = FetchKind::kDemand,
-              std::size_t claim_priority = kNoClaimPriority,
               std::uint64_t min_version = 0);
 
   /// Routes miss-path extraction through `dyn` (delta-aware, version
@@ -232,10 +199,6 @@ class ShardedBallCache {
   }
 
   static constexpr std::size_t kDefaultShards = 16;
-  /// Default bound of the pinned side-table: sized for a deep root-prefetch
-  /// horizon (the adaptive window tops out well below this) times a few
-  /// concurrent batches.
-  static constexpr std::size_t kDefaultPinCapacity = 256;
   /// Bounds of the adaptive eviction-scan window (ROADMAP "Adaptive
   /// eviction-scan window"): how far into the LRU tail sketch-informed
   /// eviction looks for a colder victim. 1 would be pure LRU; larger
@@ -268,22 +231,12 @@ class ShardedBallCache {
     std::size_t prefetch_misses = 0;
     std::size_t evictions = 0;          ///< residents displaced for room
     std::size_t admission_rejects = 0;  ///< TinyLFU: served, not retained
-    std::size_t pins_installed = 0;     ///< balls held in the pin table
-    std::size_t pin_hits = 0;           ///< demand fetches served from a pin
-    std::size_t pins_expired = 0;       ///< pins discarded unconsumed
-    /// Pins displaced under capacity pressure by a seed strictly closer to
-    /// claim (lower stream index); also counted in pins_expired.
-    std::size_t pin_displacements = 0;
-    /// Root-prefetched balls whose BFS was paid AGAIN by a later demand
-    /// fetch — the waste the pinned handoff exists to eliminate (0 while
-    /// the pin table has capacity).
-    std::size_t root_reextractions = 0;
     /// Extractions that threw (flaky extractor / storage fault). Each one
     /// fails exactly the fetches joined to that attempt; the key is
     /// re-attemptable immediately afterwards.
     std::size_t extraction_failures = 0;
-    /// Resident + pinned balls removed by edge-update invalidation
-    /// (dynamic mode): exactly the balls containing an updated endpoint.
+    /// Resident balls removed by edge-update invalidation (dynamic mode):
+    /// exactly the balls containing an updated endpoint.
     std::size_t invalidations = 0;
     /// Extractions that raced an update and were served but not retained,
     /// plus stale in-flight joins that re-extracted (dynamic mode).
@@ -325,28 +278,6 @@ class ShardedBallCache {
   /// Demand hit rate (prefetch traffic excluded); stats().hit_rate().
   [[nodiscard]] double hit_rate() const { return stats().hit_rate(); }
 
-  // --- pinned prefetch handoff ---
-  /// Balls held in the pinned side-table so far (kPinnedRootPrefetch).
-  [[nodiscard]] std::size_t pins_installed() const {
-    return pins_installed_.load();
-  }
-  /// Demand fetches served from a pin (the handoff paying off).
-  [[nodiscard]] std::size_t pin_hits() const { return pin_hits_.load(); }
-  /// Pins discarded without a demand consumer (drop_pins/clear, the pinned
-  /// key turning out to be resident when claimed, or displacement by a
-  /// closer-to-claim seed).
-  [[nodiscard]] std::size_t pins_expired() const {
-    return pins_expired_.load();
-  }
-  /// Pins displaced under capacity pressure by a seed strictly closer to
-  /// claim (see fetch()'s claim_priority).
-  [[nodiscard]] std::size_t pin_displacements() const {
-    return pin_displacements_.load();
-  }
-  /// Root-prefetched balls re-extracted by the demand path (see Stats).
-  [[nodiscard]] std::size_t root_reextractions() const {
-    return root_reextractions_.load();
-  }
   /// Extractions that threw (see Stats::extraction_failures).
   [[nodiscard]] std::size_t extraction_failures() const {
     return extraction_failures_.load();
@@ -373,41 +304,6 @@ class ShardedBallCache {
   /// Test/introspection: the resident ball for `key` (nullptr on a miss),
   /// without touching LRU order, stats, or the sketch.
   [[nodiscard]] BallPtr peek(const BallKey& key) const;
-  /// Currently pinned balls / their footprint (outside bytes()).
-  [[nodiscard]] std::size_t pinned_entries() const {
-    return pinned_count_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::size_t pinned_bytes() const {
-    return pinned_bytes_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::size_t pin_capacity() const { return pin_capacity_; }
-  /// Discards every unconsumed pin and the root-prefetch key records (the
-  /// batch is over; an unclaimed pin's speculation did not pay off). Balls
-  /// still held by readers survive via their shared_ptr.
-  void drop_pins();
-
-  /// EWMA of the ball bytes of recent extractions (demand and prefetch,
-  /// all radii mixed), 0 before the first completed extraction. Unlike
-  /// bytes()/entries() it is defined on an empty cache and tracks the
-  /// working set actually flowing through, not what admission happened to
-  /// retain.
-  [[nodiscard]] std::size_t ewma_ball_bytes() const {
-    return static_cast<std::size_t>(
-        ewma_ball_bytes_.load(std::memory_order_relaxed));
-  }
-
-  /// Per-radius variant: the EWMA over extractions of exactly this radius
-  /// (0 before the first one). The adaptive root-prefetch controller uses
-  /// the stage-0 radius here to convert its spare-budget byte cap into a
-  /// seed count — the mixed EWMA above would be dragged toward the
-  /// (often much smaller) later-stage balls by stage lookahead and
-  /// overestimate how many stage-0 seeds the cap affords. Radii beyond
-  /// kEwmaRadiusSlots-1 share the last slot.
-  [[nodiscard]] std::size_t ewma_ball_bytes(unsigned radius) const {
-    return static_cast<std::size_t>(
-        ewma_by_radius_[radius_slot(radius)].load(
-            std::memory_order_relaxed));
-  }
 
   /// Current cached footprint across all shards (Subgraph::bytes() sums).
   /// Lock-free (an atomic total maintained on insert/evict): safe to poll
@@ -422,8 +318,7 @@ class ShardedBallCache {
   /// Total BFS seconds paid on misses, by whichever thread ran them.
   [[nodiscard]] double extraction_seconds() const;
 
-  /// Drops every cached ball, every pin, the frequency sketches, and the
-  /// statistics — a full reset to the constructed state. The sketches must
+  /// Drops every cached ball, the frequency sketches, and the statistics — a full reset to the constructed state. The sketches must
   /// go too: stale popularity from before the reset would otherwise veto
   /// admission of the next working set. Balls still pinned by outstanding
   /// BallPtrs survive until released. Extractions in flight complete and
@@ -488,32 +383,6 @@ class ShardedBallCache {
     double extraction_seconds MELOPPR_GUARDED_BY(mu) = 0.0;
     /// Ball access frequencies (kTinyLFU only).
     std::unique_ptr<FrequencySketch> sketch MELOPPR_GUARDED_BY(mu);
-    /// One pinned prefetch handoff entry: the ball plus how close its seed
-    /// is to claim (lower = sooner; kNoClaimPriority = unknown). The
-    /// priority decides who yields under capacity pressure.
-    struct Pin {
-      BallPtr ball;
-      std::size_t priority = kNoClaimPriority;
-      /// Graph version the ball was extracted at (0 in static mode).
-      std::uint64_t version = 0;
-    };
-    /// Pinned prefetch handoff: root-prefetched balls held until their
-    /// seed is claimed or drop_pins(); guarded by mu, bounded globally by
-    /// pin_capacity_.
-    std::unordered_map<BallKey, Pin, BallKeyHash> pinned
-        MELOPPR_GUARDED_BY(mu);
-    /// Keys extracted by a root-prefetch fetch since the last drop_pins(),
-    /// so a later demand extraction of one of them can be counted as a
-    /// re-extraction; capped at kRootRecordCap entries.
-    std::unordered_set<BallKey, BallKeyHash> root_prefetched
-        MELOPPR_GUARDED_BY(mu);
-    /// Keys whose in-flight extraction (claimed by another fetch kind) a
-    /// kPinnedRootPrefetch deduped onto, with the best (lowest) claim
-    /// priority requested so far: the completing extraction pins the ball
-    /// on these keys' behalf, so the handoff guarantee holds even when
-    /// root and stage lookahead race on one key.
-    std::unordered_map<BallKey, std::size_t, BallKeyHash> pin_on_complete
-        MELOPPR_GUARDED_BY(mu);
     /// Reverse-reachability index (dynamic mode only): vertex → the
     /// resident BallKeys whose ball contains it. Maintained at
     /// insert/evict under `mu`; empty when no DynamicGraph is bound, so
@@ -537,15 +406,6 @@ class ShardedBallCache {
 
   void count_hit(FetchKind kind, bool deduped);
   void count_miss(FetchKind kind);
-  /// Root and stage lookahead share prefetch tallies.
-  [[nodiscard]] static bool is_prefetch(FetchKind kind) {
-    return kind != FetchKind::kDemand;
-  }
-
-  /// Upper bound on per-shard root-prefetch key records — an accounting
-  /// safety valve for batches that never drop_pins(); far above any real
-  /// batch's root count.
-  static constexpr std::size_t kRootRecordCap = 4096;
 
   /// Must hold `shard.mu`. kAlways eviction: walks the LRU tail in place
   /// (allocation-free — this is the hot insert path) until `incoming`
@@ -575,22 +435,6 @@ class ShardedBallCache {
   bool admit(Shard& shard, const BallKey& key, std::size_t incoming)
       MELOPPR_REQUIRES(shard.mu);
 
-  /// Must hold `shard.mu`. Records one extraction's footprint into the
-  /// recent-ball-bytes EWMA and, for root-prefetch kinds, into the
-  /// shard's re-extraction records; counts a demand extraction of a
-  /// recorded key as a re-extraction.
-  void note_extraction(Shard& shard, const BallKey& key, FetchKind kind,
-                       std::size_t incoming) MELOPPR_REQUIRES(shard.mu);
-
-  /// Must hold `shard.mu`. Installs `ball` in the pinned side-table if
-  /// capacity allows (an already-pinned key just keeps the better — lower —
-  /// priority). At capacity, a newcomer strictly closer to claim than the
-  /// shard's farthest-from-claim pin displaces it (ROADMAP "Pin-table
-  /// admission"); otherwise the new pin is skipped.
-  void maybe_pin(Shard& shard, const BallKey& key, const BallPtr& ball,
-                 std::size_t claim_priority, std::uint64_t version)
-      MELOPPR_REQUIRES(shard.mu);
-
   /// Must hold `shard.mu`; dynamic mode only. Adds/removes `key` under
   /// every member vertex of `ball` in the shard's reverse index.
   void index_ball(Shard& shard, const BallKey& key,
@@ -599,8 +443,7 @@ class ShardedBallCache {
                     const graph::Subgraph& ball) MELOPPR_REQUIRES(shard.mu);
 
   /// The DynamicGraph update listener: removes every resident ball listed
-  /// under either endpoint in the reverse index and every pinned ball
-  /// containing one, and records `version` as each shard's
+  /// under either endpoint in the reverse index, and records `version` as each shard's
   /// last_invalidation_version. Runs under the graph's writer lock before
   /// the version publishes; takes each shard's lock in turn (lock order
   /// graph → shard, matching nothing that holds a shard lock while taking
@@ -615,7 +458,6 @@ class ShardedBallCache {
   std::size_t budget_;
   std::size_t shard_budget_;
   CacheAdmission admission_;
-  std::size_t pin_capacity_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
   std::atomic<std::size_t> hits_{0};
@@ -625,11 +467,6 @@ class ShardedBallCache {
   std::atomic<std::size_t> prefetch_misses_{0};
   std::atomic<std::size_t> evictions_{0};
   std::atomic<std::size_t> admission_rejects_{0};
-  std::atomic<std::size_t> pins_installed_{0};
-  std::atomic<std::size_t> pin_hits_{0};
-  std::atomic<std::size_t> pins_expired_{0};
-  std::atomic<std::size_t> pin_displacements_{0};
-  std::atomic<std::size_t> root_reextractions_{0};
   std::atomic<std::size_t> extraction_failures_{0};
   std::atomic<std::size_t> invalidations_{0};
   std::atomic<std::size_t> stale_rejects_{0};
@@ -638,18 +475,6 @@ class ShardedBallCache {
   /// Miss-path extraction function; empty → graph::extract_ball. Set
   /// before sharing the cache (not synchronized against fetches).
   Extractor extractor_;
-  /// Live pin table occupancy/footprint (outside the byte budget).
-  std::atomic<std::size_t> pinned_count_{0};
-  std::atomic<std::size_t> pinned_bytes_{0};
-  /// Recent-extraction ball size estimates; CAS-updated, read lock-free.
-  /// One mixed estimate plus direct-indexed per-radius slots (real stage
-  /// radii are single digits; larger ones share the last slot).
-  static constexpr std::size_t kEwmaRadiusSlots = 64;
-  [[nodiscard]] static std::size_t radius_slot(unsigned radius) {
-    return radius < kEwmaRadiusSlots ? radius : kEwmaRadiusSlots - 1;
-  }
-  std::atomic<double> ewma_ball_bytes_{0.0};
-  std::atomic<double> ewma_by_radius_[kEwmaRadiusSlots] = {};
   /// Sum of per-shard bytes, updated under the owning shard's mutex.
   std::atomic<std::size_t> total_bytes_{0};
   /// Serializes counter *resets* against stats() snapshots. Increments are

@@ -17,9 +17,8 @@
 // reports RunStatus::kDeviceDead): no probe ever re-admits it.
 //
 // The breaker is deliberately clock-free: `now` is passed in by the caller
-// (the farm feeds its uptime timer), the same convention as
-// AdaptiveWindowController — so the state machine unit-tests exhaustively
-// with a synthetic clock, no sleeps. Not internally synchronized; the farm
+// (the farm feeds its uptime timer), so the state machine unit-tests
+// exhaustively with a synthetic clock, no sleeps. Not internally synchronized; the farm
 // mutates it under its dispatch mutex.
 #pragma once
 

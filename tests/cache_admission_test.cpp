@@ -298,103 +298,6 @@ TEST(CacheAdmission, SketchInformedEvictionProtectsMidRecencyHotBall) {
   EXPECT_EQ(after.hits - before.hits, 2u);
 }
 
-TEST(CacheAdmission, PinnedHandoffServesAdmissionRejectedBall) {
-  // A root-prefetched cold ball loses its TinyLFU duel against hot
-  // residents — but the pin keeps the BFS useful: the claiming demand
-  // fetch is served from the side-table instead of re-extracting.
-  Graph g = graph::fixtures::cycle(600);
-  const std::size_t ball = one_ball_bytes(g, 2);
-  ShardedBallCache cache(g, 2 * ball + ball / 2, 1,
-                         CacheAdmission::kTinyLFU);
-  for (int round = 0; round < 4; ++round) {
-    cache.get(10, 2);
-    cache.get(200, 2);
-  }
-
-  const ShardedBallCache::Fetch prefetched =
-      cache.fetch(400, 2, ShardedBallCache::FetchKind::kPinnedRootPrefetch);
-  EXPECT_FALSE(prefetched.hit);
-  EXPECT_GT(cache.admission_rejects(), 0u);  // retention lost the duel
-  EXPECT_EQ(cache.pins_installed(), 1u);     // …but the ball is pinned
-  EXPECT_EQ(cache.pinned_entries(), 1u);
-
-  const std::size_t misses_before = cache.stats().misses;
-  const ShardedBallCache::Fetch claimed =
-      cache.fetch(400, 2, ShardedBallCache::FetchKind::kDemand);
-  EXPECT_TRUE(claimed.hit);
-  EXPECT_TRUE(claimed.pinned);
-  ASSERT_NE(claimed.ball, nullptr);
-  EXPECT_EQ(claimed.ball->num_nodes(), prefetched.ball->num_nodes());
-  EXPECT_EQ(cache.stats().misses, misses_before);  // no BFS re-paid
-  EXPECT_EQ(cache.pin_hits(), 1u);
-  EXPECT_EQ(cache.pinned_entries(), 0u);  // consumed by the claim
-  EXPECT_EQ(cache.root_reextractions(), 0u);
-}
-
-TEST(CacheAdmission, DedupedPinnedRootPrefetchStillPins) {
-  // A pinned root prefetch racing a stage-lookahead prefetch of the SAME
-  // key must not lose its handoff: whichever thread wins the in-flight
-  // claim, the completing extraction pins on the root prefetch's behalf
-  // (pin_on_complete), so the demand claim is served without re-running
-  // the BFS in every interleaving.
-  Graph g = graph::fixtures::cycle(600);
-  const std::size_t ball = one_ball_bytes(g, 2);
-  ShardedBallCache cache(g, 2 * ball + ball / 2, 1,
-                         CacheAdmission::kTinyLFU);
-  for (int round = 0; round < 4; ++round) {
-    cache.get(10, 2);  // hot residents: the cold key loses its duel
-    cache.get(200, 2);
-  }
-
-  std::thread stage([&] {
-    try {
-      cache.fetch(400, 2, ShardedBallCache::FetchKind::kPrefetch);
-    } catch (...) {
-    }
-  });
-  std::thread root([&] {
-    try {
-      cache.fetch(400, 2, ShardedBallCache::FetchKind::kPinnedRootPrefetch);
-    } catch (...) {
-    }
-  });
-  stage.join();
-  root.join();
-
-  const std::size_t misses_before = cache.stats().misses;
-  const ShardedBallCache::Fetch claimed =
-      cache.fetch(400, 2, ShardedBallCache::FetchKind::kDemand);
-  EXPECT_TRUE(claimed.hit);
-  EXPECT_EQ(cache.stats().misses, misses_before);  // no demand BFS
-  EXPECT_EQ(cache.root_reextractions(), 0u);
-}
-
-TEST(CacheAdmission, UnpinnedRootPrefetchIsReextractedAndCounted) {
-  // With no pin-table capacity, a served-but-rejected root prefetch leaves
-  // nothing behind, and the claiming worker pays the BFS again —
-  // root_reextractions counts it.
-  Graph g = graph::fixtures::cycle(600);
-  const std::size_t ball = one_ball_bytes(g, 2);
-  ShardedBallCache cache(g, 2 * ball + ball / 2, 1, CacheAdmission::kTinyLFU,
-                         /*pin_capacity=*/0);
-  for (int round = 0; round < 4; ++round) {
-    cache.get(10, 2);
-    cache.get(200, 2);
-  }
-
-  const ShardedBallCache::Fetch prefetched =
-      cache.fetch(400, 2, ShardedBallCache::FetchKind::kPinnedRootPrefetch);
-  EXPECT_FALSE(prefetched.hit);
-  EXPECT_EQ(cache.pins_installed(), 0u);  // no pin-table capacity
-
-  const std::size_t misses_before = cache.stats().misses;
-  const ShardedBallCache::Fetch claimed =
-      cache.fetch(400, 2, ShardedBallCache::FetchKind::kDemand);
-  EXPECT_FALSE(claimed.hit);  // the BFS ran again on the demand path
-  EXPECT_EQ(cache.stats().misses, misses_before + 1);
-  EXPECT_EQ(cache.root_reextractions(), 1u);
-}
-
 }  // namespace
 }  // namespace meloppr::core
 

@@ -397,7 +397,6 @@ TEST(DynamicGraph, InvalidationIsSurgical) {
   for (const core::BallKey& key : survivors) {
     const auto f = cache.fetch(key.root, key.radius,
                                ShardedBallCache::FetchKind::kDemand,
-                               ShardedBallCache::kNoClaimPriority,
                                dyn.version());
     EXPECT_TRUE(f.hit) << "untouched ball must survive the update";
   }
@@ -444,7 +443,7 @@ TEST(DynamicGraph, ClearResetsDynamicCountersAndIndex) {
   NodeId r = 0;
   while (base.degree(r) == 0) ++r;
   (void)cache.fetch(r, 2, ShardedBallCache::FetchKind::kDemand,
-                    ShardedBallCache::kNoClaimPriority, dyn.version());
+                    dyn.version());
   EXPECT_GT(cache.reverse_index_entries(), 0u);
 }
 

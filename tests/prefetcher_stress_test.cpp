@@ -109,45 +109,6 @@ TEST(PrefetcherStress, PauseGateRacesQuiesceAndEnqueue) {
   EXPECT_LE(prefetcher.balls_fetched(), prefetcher.completed());
 }
 
-TEST(PrefetcherStress, StageLookaheadDrainsBeforeSpeculativeRoots) {
-  // Two-class queue regression: a saturated root-prefetch window enqueued
-  // FIRST must not delay a stage-lookahead request enqueued LAST. The
-  // pause gate releases work one request at a time (the worker re-pauses
-  // the moment completed() catches up with `allowed`), so the order in
-  // which requests complete is observable deterministically.
-  Graph g = graph::fixtures::cycle(600);
-  ShardedBallCache cache(g, 1 << 20, 4);
-  std::atomic<std::size_t> allowed{0};
-  BallPrefetcher prefetcher(1, [&] {
-    return prefetcher.completed() >= allowed.load(std::memory_order_relaxed);
-  });
-
-  // Saturate the root window while the worker is gated.
-  const std::size_t roots = 8;
-  for (std::size_t i = 0; i < roots; ++i) {
-    prefetcher.enqueue(cache, static_cast<graph::NodeId>(i * 10), 2,
-                       ShardedBallCache::FetchKind::kPinnedRootPrefetch,
-                       /*claim_priority=*/i);
-  }
-  // The in-flight query's stage lookahead arrives after all of them.
-  const graph::NodeId stage_root = 300;
-  prefetcher.enqueue(cache, stage_root, 2);
-
-  // Release exactly one request: it must be the stage lookahead.
-  allowed.store(1, std::memory_order_relaxed);
-  while (prefetcher.completed() < 1) std::this_thread::yield();
-  EXPECT_TRUE(cache.fetch(stage_root, 2).hit)
-      << "stage lookahead was not served first";
-  EXPECT_EQ(cache.pinned_entries(), 0u)
-      << "a speculative root jumped the stage queue";
-
-  // Release the rest; the roots now drain and pin as usual.
-  allowed.store(roots + 1, std::memory_order_relaxed);
-  while (prefetcher.completed() < roots + 1) std::this_thread::yield();
-  prefetcher.quiesce();
-  EXPECT_GT(cache.pinned_entries(), 0u);
-}
-
 TEST(PrefetcherStress, WorkerSurvivesExtractorFaults) {
   // A prefetch is advisory: an extraction that throws must not kill the
   // worker thread. With a single worker, one uncaught exception would

@@ -10,7 +10,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -416,6 +420,99 @@ TEST(ServingFrontEnd, ConfigValidationRejectsNonsense) {
   cfg.initial_service_estimate_seconds = 0.0;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   EXPECT_NO_THROW(ServingConfig{}.validate());
+}
+
+/// A shared CPU backend whose run() blocks until the test opens its gate,
+/// so a query can be held in flight without sleeping.
+class GatedBackend final : public DiffusionBackend {
+ public:
+  explicit GatedBackend(double alpha) : alpha_(alpha), cpu_(alpha) {}
+
+  BackendResult run(const graph::Subgraph& ball, double mass,
+                    unsigned length) override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      ++entered_;
+      entered_cv_.notify_all();
+      open_cv_.wait(lock, [this] { return open_; });
+    }
+    return cpu_.run(ball, mass, length);
+  }
+  [[nodiscard]] std::size_t working_bytes(
+      std::size_t ball_nodes, std::size_t ball_edges) const override {
+    return cpu_.working_bytes(ball_nodes, ball_edges);
+  }
+  [[nodiscard]] std::string name() const override { return "gated-cpu"; }
+  [[nodiscard]] std::unique_ptr<DiffusionBackend> clone() const override {
+    return std::make_unique<GatedBackend>(alpha_);
+  }
+  [[nodiscard]] bool thread_safe() const override { return true; }
+
+  /// Blocks until at least one run() call has reached the gate.
+  void wait_for_first_run() {
+    std::unique_lock<std::mutex> lock(mu_);
+    entered_cv_.wait(lock, [this] { return entered_ > 0; });
+  }
+  void open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    open_cv_.notify_all();
+  }
+
+ private:
+  double alpha_;
+  CpuBackend cpu_;
+  std::mutex mu_;
+  std::condition_variable entered_cv_;
+  std::condition_variable open_cv_;
+  std::size_t entered_ = 0;
+  bool open_ = false;
+};
+
+TEST(ServingFrontEnd, MaxInFlightBoundsEveryFormedBatch) {
+  // Batch formation must respect the in-flight bound, not only check it
+  // before forming: with one query held in flight and room for one more,
+  // a 30-deep queue under a 10-query latency budget (0.05 s / 0.005 s)
+  // may dispatch exactly one further query.
+  const Graph& g = test_graph();
+  Engine engine(g, small_config());
+  GatedBackend backend(0.85);
+  PipelineConfig pcfg;
+  pcfg.threads = 2;
+  QueryPipeline pipeline(engine, backend, pcfg);
+
+  ServingConfig scfg = frozen_config();
+  scfg.max_in_flight = 2;
+  ASSERT_DOUBLE_EQ(scfg.batch_budget_seconds, 0.05);
+  ASSERT_DOUBLE_EQ(scfg.initial_service_estimate_seconds, 0.005);
+  ServingFrontEnd fe(pipeline, scfg);
+
+  const auto sample = [&] {
+    const ServingStats s = fe.stats();
+    EXPECT_LE(s.in_flight, scfg.max_in_flight);
+    return s;
+  };
+
+  ASSERT_TRUE(fe.submit(3).admitted);
+  backend.wait_for_first_run();  // that query is now held in flight
+  EXPECT_EQ(sample().in_flight, 1u);
+  for (int i = 0; i < 30; ++i) {
+    ASSERT_TRUE(fe.submit(static_cast<graph::NodeId>((i * 13 + 1) % 500))
+                    .admitted);
+  }
+  // The dispatcher fills the free slot (and must stop there).
+  while (sample().in_flight < scfg.max_in_flight) std::this_thread::yield();
+
+  backend.open();
+  while (sample().completed < 31) std::this_thread::yield();
+  const std::vector<ServedQuery> served = fe.drain();
+  EXPECT_EQ(served.size(), 31u);
+  for (const ServedQuery& sq : served) {
+    EXPECT_EQ(sq.status, ServeStatus::kOk);
+  }
+  fe.shutdown();
 }
 
 // ---------------------------------------------------------------------------

@@ -415,67 +415,6 @@ TEST(ShardedBallCache, SetExtractorSwapsAndRestoresDefault) {
   EXPECT_EQ(cache.extraction_failures(), 0u);
 }
 
-TEST(ShardedBallCache, PinnedSideTableIsBoundedAndDroppable) {
-  Graph g = graph::fixtures::cycle(400);
-  ShardedBallCache cache(g, 1 << 20, 1, CacheAdmission::kAlways,
-                         /*pin_capacity=*/2);
-  cache.fetch(0, 2, ShardedBallCache::FetchKind::kPinnedRootPrefetch);
-  cache.fetch(10, 2, ShardedBallCache::FetchKind::kPinnedRootPrefetch);
-  cache.fetch(20, 2, ShardedBallCache::FetchKind::kPinnedRootPrefetch);
-  EXPECT_EQ(cache.pins_installed(), 2u);  // the third was over capacity
-  EXPECT_EQ(cache.pinned_entries(), 2u);
-  EXPECT_GT(cache.pinned_bytes(), 0u);
-  // Re-prefetching a pinned key never double-pins.
-  cache.fetch(0, 2, ShardedBallCache::FetchKind::kPinnedRootPrefetch);
-  EXPECT_EQ(cache.pinned_entries(), 2u);
-
-  cache.drop_pins();
-  EXPECT_EQ(cache.pinned_entries(), 0u);
-  EXPECT_EQ(cache.pinned_bytes(), 0u);
-  EXPECT_EQ(cache.pins_expired(), 2u);
-  EXPECT_EQ(cache.pin_hits(), 0u);
-}
-
-TEST(ShardedBallCache, ResidentClaimFreesPinEarly) {
-  // Budget is ample, so the prefetched ball is both resident and pinned;
-  // the claim is served from the LRU and the now-pointless pin is freed
-  // without counting as a pin hit.
-  Graph g = graph::fixtures::cycle(400);
-  ShardedBallCache cache(g, 1 << 20, 1);
-  cache.fetch(0, 2, ShardedBallCache::FetchKind::kPinnedRootPrefetch);
-  EXPECT_EQ(cache.pinned_entries(), 1u);
-
-  const ShardedBallCache::Fetch claimed =
-      cache.fetch(0, 2, ShardedBallCache::FetchKind::kDemand);
-  EXPECT_TRUE(claimed.hit);
-  EXPECT_FALSE(claimed.pinned);  // served from the LRU, not the pin
-  EXPECT_EQ(cache.pinned_entries(), 0u);
-  EXPECT_EQ(cache.pins_expired(), 1u);
-  EXPECT_EQ(cache.pin_hits(), 0u);
-}
-
-TEST(ShardedBallCache, ClearDropsPinsSketchAndSizeEstimate) {
-  Graph g = graph::fixtures::cycle(400);
-  ShardedBallCache cache(g, 1 << 20, 2, CacheAdmission::kTinyLFU);
-  cache.fetch(0, 2, ShardedBallCache::FetchKind::kPinnedRootPrefetch);
-  cache.get(10, 2);
-  EXPECT_GT(cache.ewma_ball_bytes(), 0u);
-  EXPECT_GT(cache.ewma_ball_bytes(2), 0u);
-  EXPECT_EQ(cache.ewma_ball_bytes(5), 0u);  // no radius-5 extraction yet
-  EXPECT_EQ(cache.pinned_entries(), 1u);
-
-  cache.clear();
-  EXPECT_EQ(cache.pinned_entries(), 0u);
-  EXPECT_EQ(cache.pinned_bytes(), 0u);
-  EXPECT_EQ(cache.ewma_ball_bytes(), 0u);
-  EXPECT_EQ(cache.ewma_ball_bytes(2), 0u);
-  const ShardedBallCache::Stats s = cache.stats();
-  EXPECT_EQ(s.pins_installed, 0u);
-  EXPECT_EQ(s.pin_hits, 0u);
-  EXPECT_EQ(s.pins_expired, 0u);
-  EXPECT_EQ(s.root_reextractions, 0u);
-}
-
 TEST(ShardedBallCache, EvictionScanWindowAdaptsToShardPopulation) {
   // ~10% of residents, floored at the old fixed window (small shards keep
   // PR 4/5 behavior bit-for-bit) and capped by the plan loop's stack array.
@@ -490,46 +429,6 @@ TEST(ShardedBallCache, EvictionScanWindowAdaptsToShardPopulation) {
   EXPECT_EQ(ShardedBallCache::eviction_scan_window(1'000'000),
             ShardedBallCache::kMaxEvictionScanWindow);
 }
-
-TEST(ShardedBallCache, PinAdmissionPrefersSeedsClosestToClaim) {
-  // Pin-table capacity duel: the table is full of far-from-claim pins; a
-  // seed with a strictly lower stream index displaces the farthest one.
-  // The 1-byte budget keeps every ball out of the LRU, so hits below can
-  // only come from the pinned side-table.
-  Graph g = graph::fixtures::cycle(400);
-  ShardedBallCache cache(g, /*byte_budget=*/1, 1, CacheAdmission::kAlways,
-                         /*pin_capacity=*/2);
-  using FK = ShardedBallCache::FetchKind;
-  cache.fetch(0, 2, FK::kPinnedRootPrefetch, /*claim_priority=*/5);
-  cache.fetch(10, 2, FK::kPinnedRootPrefetch, /*claim_priority=*/7);
-  EXPECT_EQ(cache.pinned_entries(), 2u);
-
-  // Not strictly closer than the worst pin (7): skipped, as before.
-  cache.fetch(20, 2, FK::kPinnedRootPrefetch, /*claim_priority=*/7);
-  EXPECT_EQ(cache.pinned_entries(), 2u);
-  EXPECT_EQ(cache.pin_displacements(), 0u);
-  // The default no-priority pin loses every duel.
-  cache.fetch(30, 2, FK::kPinnedRootPrefetch);
-  EXPECT_EQ(cache.pin_displacements(), 0u);
-
-  // Strictly closer: displaces the priority-7 pin.
-  cache.fetch(40, 2, FK::kPinnedRootPrefetch, /*claim_priority=*/1);
-  EXPECT_EQ(cache.pinned_entries(), 2u);
-  EXPECT_EQ(cache.pin_displacements(), 1u);
-  EXPECT_EQ(cache.pins_expired(), 1u);  // displacement counts as expiry
-
-  // The survivors are the close seeds: claiming each is a pin hit; the
-  // displaced key 10 must re-extract on demand.
-  const ShardedBallCache::Fetch near0 = cache.fetch(0, 2, FK::kDemand);
-  EXPECT_TRUE(near0.hit);
-  EXPECT_TRUE(near0.pinned);
-  EXPECT_TRUE(cache.fetch(40, 2, FK::kDemand).pinned);
-  const std::size_t misses_before = cache.stats().misses;
-  (void)cache.fetch(10, 2, FK::kDemand);
-  EXPECT_EQ(cache.stats().misses, misses_before + 1)
-      << "displaced pin should no longer be held";
-}
-
 
 MelopprConfig engine_config(std::size_t selected) {
   MelopprConfig cfg;
