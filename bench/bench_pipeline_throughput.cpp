@@ -102,8 +102,8 @@ int run() {
       pcfg.threads = 1;
       core::QueryPipeline pipeline(engine, backend, pcfg);
       for (const core::QueryResult& r : pipeline.query_batch(stream)) {
-        costs.push_back(r.stats.bfs_seconds() +
-                        r.stats.diffusion_serial_seconds);
+        costs.push_back(r.stats.bfs_seconds() + r.stats.compute_seconds() +
+                        r.stats.transfer_seconds());
       }
       farm.reset();
     }
@@ -137,7 +137,7 @@ int run() {
                "only when the host has that many real cores.\n\n";
 
   // --- Aggregation mode A/B (top-c·k aggregation in the pipeline). Same
-  // stream, repeated; pooled arenas keep each worker's storage warm across
+  // stream, repeated; each worker's aggregator keeps its storage warm across
   // queries (hash-map buckets for exact, fixed BRAM slots for bounded), and
   // the bounded row shows the c·k memory envelope riding the same batch
   // path. Deeper bounded A/B (recall, thread sweep, memory gate) lives in
@@ -156,10 +156,10 @@ int run() {
     const char* name;
     bool bounded;
   };
-  const AggRow agg_rows[] = {{"pooled exact", false},
-                             {"pooled bounded c=10", true}};
+  const AggRow agg_rows[] = {{"per-worker exact", false},
+                             {"per-worker bounded c=10", true}};
   TablePrinter pool_table({"aggregators", "threads", "wall (s)", "wall q/s",
-                           "arena reuses", "peak agg entries", "evictions"});
+                           "peak agg entries", "evictions"});
   for (const AggRow& row : agg_rows) {
     core::CpuBackend cpu(cfg.alpha);
     core::PipelineConfig pcfg;
@@ -174,13 +174,13 @@ int run() {
     pool_table.add_row(
         {row.name, std::to_string(max_threads), fmt_fixed(seconds, 3),
          fmt_fixed(static_cast<double>(served) / seconds, 1),
-         std::to_string(pipeline.aggregator_pool().reuses()),
          std::to_string(batch.peak_aggregator_entries),
          row.bounded ? std::to_string(batch.aggregator_evictions) : "-"});
   }
   std::cout << pool_table.ascii() << '\n'
-            << "reading: both rows reuse warm arenas (clear() keeps the "
-               "storage); the bounded row caps every query's score table "
+            << "reading: both rows reuse each worker's warm aggregator "
+               "(clear() keeps the storage); the bounded row caps every "
+               "query's score table "
                "at c*k entries — the paper's BRAM envelope — on the same "
                "work-stealing batch path.\n";
   return 0;

@@ -47,8 +47,6 @@ RatePoint run_rate(core::QueryPipeline& pipeline, const graph::Graph& g,
   core::ServingConfig scfg;
   scfg.queue_capacity = 16;
   scfg.max_in_flight = 8;
-  scfg.batch_budget_seconds = 0.02;
-  scfg.max_batch = 32;
   core::ServingFrontEnd fe(pipeline, scfg);
 
   RatePoint point;
@@ -115,7 +113,7 @@ int run(bool smoke) {
 
   TablePrinter table({"offered (xcap)", "offered q/s", "completed",
                       "rejected", "p50 (ms)", "p99 (ms)", "max (ms)",
-                      "mean queue (ms)", "max batch"});
+                      "mean queue (ms)", "max pass"});
   std::vector<RatePoint> points;
   points.reserve(fractions.size());
   for (double f : fractions) {

@@ -219,8 +219,8 @@ int main() {
   // --- SLO front end: the same stream served through ServingFrontEnd —
   //     continuous ingest into the stealing scheduler with a bounded
   //     admission queue, per-tenant fair queueing (the popular head and
-  //     the uniform tail as separate tenants), deadline-aware batch
-  //     formation, and arrival→completion latency accounting. Scores stay
+  //     the uniform tail as separate tenants), deadline-aware dispatch,
+  //     and arrival→completion latency accounting. Scores stay
   //     bit-identical to the serial engine; the row's percentiles include
   //     admission wait, which is what a client actually experiences. ---
   {
@@ -278,8 +278,8 @@ int main() {
         std::to_string(ss.submitted) + " (rejected " +
         std::to_string(rejected) + "), shed " +
         std::to_string(ss.shed_deadline) + ", deadline misses " +
-        std::to_string(ss.deadline_misses) + ", batches " +
-        std::to_string(ss.batches_formed) + " (max size " +
+        std::to_string(ss.deadline_misses) + ", dispatch passes " +
+        std::to_string(ss.batches_formed) + " (largest " +
         std::to_string(ss.max_batch_size) + "), mean queue " +
         fmt_fixed(ss.mean_queue_seconds * 1e3, 2) +
         " ms, tenant head/tail completed " +

@@ -158,8 +158,8 @@ std::size_t TopCKAggregator::bytes() const {
 }
 
 void TopCKAggregator::clear() {
-  // The vectors keep their capacity and the map its buckets, so pooled
-  // arenas (AggregatorPool) reuse warm storage.
+  // The vectors keep their capacity and the map its buckets, so a reused
+  // table (one per pipeline worker) aggregates into warm storage.
   index_.clear();
   slots_.clear();
   heap_.clear();
@@ -178,74 +178,6 @@ std::unique_ptr<ScoreAggregator> make_serial_aggregator(AggregationMode mode,
                                              epsilon);
   }
   return std::make_unique<ExactAggregator>();
-}
-
-AggregatorPool::AggregatorPool(std::size_t slots, Factory factory)
-    : factory_(std::move(factory)) {
-  if (slots == 0) {
-    throw std::invalid_argument("AggregatorPool: need at least one slot");
-  }
-  if (!factory_) {
-    factory_ = [] { return std::make_unique<ExactAggregator>(); };
-  }
-  arenas_.reserve(slots);
-  for (std::size_t s = 0; s < slots; ++s) {
-    arenas_.push_back(factory_());
-  }
-  busy_.assign(slots, 0);
-  used_once_.assign(slots, 0);
-}
-
-AggregatorPool::Lease AggregatorPool::acquire(std::size_t preferred) {
-  const std::size_t want = preferred % arenas_.size();
-  std::size_t picked = want;
-  {
-    util::MutexLock lock(mu_);
-    for (;;) {
-      if (!busy_[want]) {
-        picked = want;
-        break;
-      }
-      // Preferred slot busy (another batch shares the pool): any free slot
-      // keeps the arena warm for *someone*.
-      bool found = false;
-      for (std::size_t s = 0; s < busy_.size() && !found; ++s) {
-        if (!busy_[s]) {
-          picked = s;
-          found = true;
-        }
-      }
-      if (found) break;
-      slot_free_.wait(lock.native());
-    }
-    busy_[picked] = 1;
-    if (used_once_[picked]) reuses_.fetch_add(1, std::memory_order_relaxed);
-    used_once_[picked] = 1;
-  }
-  acquires_.fetch_add(1, std::memory_order_relaxed);
-  // clear() keeps the arena's storage (buckets / BRAM slots) — the point.
-  arenas_[picked]->clear();
-  return Lease(this, picked);
-}
-
-void AggregatorPool::release(std::size_t slot) {
-  {
-    util::MutexLock lock(mu_);
-    busy_[slot] = 0;
-  }
-  slot_free_.notify_one();
-}
-
-AggregatorPool::Lease::~Lease() {
-  if (pool_ != nullptr) pool_->release(slot_);
-}
-
-ScoreAggregator& AggregatorPool::Lease::operator*() const {
-  return *pool_->arenas_[slot_];
-}
-
-ScoreAggregator* AggregatorPool::Lease::operator->() const {
-  return pool_->arenas_[slot_].get();
 }
 
 }  // namespace meloppr::core

@@ -16,15 +16,12 @@
 // Every reduction is serial: one thread applies one query's contributions
 // in the engine's depth-first order, so results are bit-identical however
 // the query's tasks were scheduled. make_serial_aggregator maps an
-// AggregationMode (config.hpp) onto the two; AggregatorPool recycles them
-// across the queries of a batch.
+// AggregationMode (config.hpp) onto the two; clear() empties a table but
+// keeps its storage, so one instance serves query after query.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <unordered_map>
@@ -32,7 +29,6 @@
 
 #include "core/config.hpp"
 #include "ppr/topk.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace meloppr::core {
 
@@ -183,77 +179,5 @@ class TopCKAggregator final : public ScoreAggregator {
 [[nodiscard]] std::unique_ptr<ScoreAggregator> make_serial_aggregator(
     AggregationMode mode, std::size_t k, std::size_t c,
     double epsilon = 0.0);
-
-/// Per-worker arena of reusable serial aggregators (ROADMAP: "Aggregator
-/// reuse across a batch"). Constructing and tearing down an aggregator per
-/// query reallocates its table every time; clear() on a reused instance
-/// keeps the storage (hash-map buckets for exact arenas, the fixed BRAM
-/// slots for bounded ones), so a worker's second query aggregates into
-/// already-warm memory. acquire(slot) hands out an exclusive lease on one
-/// aggregator, cleared and ready; the preferred slot is the worker index,
-/// so within one batch there is no contention at all — the locking only
-/// matters when several batches share a pipeline.
-class AggregatorPool {
- public:
-  using Factory = std::function<std::unique_ptr<ScoreAggregator>()>;
-
-  /// `factory` builds every slot's arena eagerly at construction
-  /// (default: exact arenas) — an oversized pool pays its full storage up
-  /// front, bounded arenas included. Throws std::invalid_argument when
-  /// `slots` is zero.
-  explicit AggregatorPool(std::size_t slots, Factory factory = {});
-
-  /// Exclusive lease; releases the slot on destruction. The aggregator
-  /// reference stays valid for the lease's lifetime only.
-  class Lease {
-   public:
-    Lease(Lease&& other) noexcept
-        : pool_(other.pool_), slot_(other.slot_) {
-      other.pool_ = nullptr;
-    }
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-    Lease& operator=(Lease&&) = delete;
-    ~Lease();
-
-    [[nodiscard]] ScoreAggregator& operator*() const;
-    [[nodiscard]] ScoreAggregator* operator->() const;
-
-   private:
-    friend class AggregatorPool;
-    Lease(AggregatorPool* pool, std::size_t slot)
-        : pool_(pool), slot_(slot) {}
-    AggregatorPool* pool_;
-    std::size_t slot_;
-  };
-
-  /// Returns a cleared aggregator, preferring slot `preferred % slots` and
-  /// falling back to any free slot (blocking on the preferred one only when
-  /// every slot is busy).
-  [[nodiscard]] Lease acquire(std::size_t preferred);
-
-  [[nodiscard]] std::size_t slots() const { return arenas_.size(); }
-  /// Total leases handed out (each beyond the first per slot reused a warm
-  /// arena instead of allocating a fresh map).
-  [[nodiscard]] std::size_t acquires() const { return acquires_.load(); }
-  /// acquires() minus first-use-per-slot: queries that skipped the
-  /// construct/teardown malloc churn entirely.
-  [[nodiscard]] std::size_t reuses() const { return reuses_.load(); }
-
- private:
-  void release(std::size_t slot) MELOPPR_EXCLUDES(mu_);
-
-  Factory factory_;
-  /// Built once at construction and never resized; a leased arena is
-  /// accessed unlocked — the lease's exclusivity (busy_[slot]) is the
-  /// synchronization, the same reasoning as a checked-out farm device.
-  std::vector<std::unique_ptr<ScoreAggregator>> arenas_;
-  util::Mutex mu_;
-  std::vector<unsigned char> busy_ MELOPPR_GUARDED_BY(mu_);
-  std::vector<unsigned char> used_once_ MELOPPR_GUARDED_BY(mu_);
-  std::condition_variable slot_free_;
-  std::atomic<std::size_t> acquires_{0};
-  std::atomic<std::size_t> reuses_{0};
-};
 
 }  // namespace meloppr::core

@@ -75,9 +75,6 @@ QueryResult Engine::query(graph::NodeId seed, DiffusionBackend& backend,
 
   result.top = aggregator.top(config_.k);
   result.stats.total_seconds = total.elapsed_seconds();
-  result.stats.diffusion_serial_seconds =
-      result.stats.compute_seconds() + result.stats.transfer_seconds();
-  result.stats.threads_used = 1;
 
   result.stats.aggregator_bytes = aggregator.bytes();
   result.stats.aggregator_entries = aggregator.entries();

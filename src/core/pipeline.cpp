@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
-#include <cstdint>
+#include <deque>
 #include <exception>
 #include <stdexcept>
 #include <unordered_map>
@@ -63,15 +62,15 @@ QueryPipeline::QueryPipeline(const Engine& engine, DiffusionBackend& backend,
     : engine_(&engine),
       config_(config),
       threads_(config.resolved_threads()),
-      backend_offloads_(backend.offloads_compute()),
-      // Arenas follow the engine's aggregation mode: exact maps, or bounded
-      // c·k tables whose clear() keeps the fixed slots warm.
-      agg_pool_(threads_,
-                [mode = engine.config().aggregation, k = engine.config().k,
-                 c = engine.config().topck_c,
-                 eps = engine.config().topck_epsilon] {
-                  return make_serial_aggregator(mode, k, c, eps);
-                }) {
+      backend_offloads_(backend.offloads_compute()) {
+  // Aggregators follow the engine's aggregation mode: exact maps, or
+  // bounded c·k tables whose clear() keeps the fixed slots warm.
+  const MelopprConfig& mc = engine.config();
+  aggregators_.reserve(threads_);
+  for (std::size_t w = 0; w < threads_; ++w) {
+    aggregators_.push_back(make_serial_aggregator(
+        mc.aggregation, mc.k, mc.topck_c, mc.topck_epsilon));
+  }
   if (backend.thread_safe()) {
     shared_backend_ = &backend;
   } else {
@@ -91,7 +90,7 @@ QueryPipeline::~QueryPipeline() {
     util::MutexLock lock(mu_);
     stop_ = true;
   }
-  work_available_.notify_all();
+  handoff_.notify_all();
   for (std::thread& t : workers_) t.join();
 }
 
@@ -105,8 +104,9 @@ ShardedBallCache* QueryPipeline::activate_lookahead() {
   ShardedBallCache* cache = engine_->shared_ball_cache();
   if (cache == nullptr) return nullptr;
   // Lazy: a pipeline that never sees a shared cache never pays for
-  // prefetch threads (they could do no work anyway).
-  std::call_once(prefetcher_once_, [this] {
+  // prefetch threads (they could do no work anyway). batch_mu_ makes this
+  // check-then-create race-free.
+  if (prefetcher_ == nullptr) {
     // Farm-wait meter: pause lookahead while the shared offloading
     // backend is momentarily idle (no dispatcher inside run() means host
     // cores carry the demand path alone). Only a shared backend has an
@@ -119,63 +119,25 @@ ShardedBallCache* QueryPipeline::activate_lookahead() {
     }
     prefetcher_ = std::make_unique<BallPrefetcher>(
         config_.resolved_prefetch_threads(), std::move(pause));
-  });
+  }
   return cache;
 }
 
 void QueryPipeline::worker_loop(std::size_t worker_id) {
+  std::uint64_t seen = 0;
   for (;;) {
-    std::function<void(std::size_t)> job;
+    const std::function<void(std::size_t)>* job = nullptr;
     {
       util::MutexLock lock(mu_);
-      while (!(stop_ || !queue_.empty())) {
-        work_available_.wait(lock.native());
-      }
-      if (queue_.empty()) return;  // stop_ set and queue drained
-      job = std::move(queue_.front());
-      queue_.pop_front();
+      while (!stop_ && generation_ == seen) handoff_.wait(lock.native());
+      if (stop_) return;
+      seen = generation_;
+      job = job_;
     }
-    job(worker_id);
-  }
-}
-
-void QueryPipeline::run_jobs(
-    std::size_t count,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (count == 0) return;
-  struct Latch {
-    util::Mutex mu;
-    std::condition_variable done;
-    std::size_t remaining MELOPPR_GUARDED_BY(mu);
-    std::exception_ptr error MELOPPR_GUARDED_BY(mu);
-  };
-  auto latch = std::make_shared<Latch>();
-  {
-    // Lock for the analysis: the latch is not shared until the jobs below
-    // are enqueued.
-    util::MutexLock lock(latch->mu);
-    latch->remaining = count;
-  }
-  {
+    (*job)(worker_id);  // the stealing loop catches its own exceptions
     util::MutexLock lock(mu_);
-    for (std::size_t i = 0; i < count; ++i) {
-      queue_.emplace_back([&fn, i, latch](std::size_t worker_id) {
-        std::exception_ptr err;
-        try {
-          fn(i, worker_id);
-        } catch (...) {
-          err = std::current_exception();
-        }
-        util::MutexLock l(latch->mu);
-        if (err != nullptr && latch->error == nullptr) latch->error = err;
-        if (--latch->remaining == 0) latch->done.notify_all();
-      });
-    }
+    if (--running_ == 0) finished_.notify_all();
   }
-  work_available_.notify_all();
-  util::MutexLock lock(latch->mu);
-  while (latch->remaining != 0) latch->done.wait(lock.native());
-  if (latch->error != nullptr) std::rethrow_exception(latch->error);
 }
 
 QueryResult QueryPipeline::query(graph::NodeId seed) {
@@ -336,6 +298,9 @@ std::vector<QueryResult> QueryPipeline::query_batch(
 void QueryPipeline::query_stream(SeedStream& stream,
                                  const ResultSink& on_result,
                                  BatchStats* batch_stats) {
+  // One batch owns the pool: activation, the delta snapshot, the stealing
+  // loop, the quiesce and the stats fill all belong to this call alone.
+  util::MutexLock batch_lock(batch_mu_);
   ShardedBallCache* lookahead = activate_lookahead();
   // The wall clock starts AFTER activation so the first batch's q/s does
   // not pay the one-time prefetch-thread spawn.
@@ -388,9 +353,6 @@ struct BatchQuery {
   /// Tasks of this query not yet executed (root counts as 1 up front).
   /// Whoever decrements it to zero reduces the query.
   std::atomic<std::size_t> remaining{1};
-  /// One bit per worker that executed a task of this query (exact at any
-  /// thread count; words allocated by the scheduler).
-  std::unique_ptr<std::atomic<std::uint64_t>[]> worker_words;
   std::atomic<std::size_t> stolen{0};
   /// Stamps on the stream's clock: push time and first-claim time. The
   /// difference is QueryStats::queue_seconds; arrival→finalize is the
@@ -446,8 +408,6 @@ std::size_t tree_bytes(const TreeNode& node) {
 void QueryPipeline::run_stream_batch(SeedStream& stream,
                                      const ResultSink& on_result,
                                      ShardedBallCache* lookahead) {
-  const std::size_t mask_words = (threads_ + 63) / 64;
-
   std::vector<std::unique_ptr<WorkerDeque>> deques;
   deques.reserve(threads_);
   for (std::size_t w = 0; w < threads_; ++w) {
@@ -513,9 +473,9 @@ void QueryPipeline::run_stream_batch(SeedStream& stream,
     }
   } hook_clear{&stream};
 
-  const auto finalize_query = [&](BatchQuery& q, std::size_t self) {
-    const AggregatorPool::Lease lease = agg_pool_.acquire(self);
-    ScoreAggregator& aggregator = *lease;
+  const auto finalize_query = [&](BatchQuery& q, std::size_t w) {
+    ScoreAggregator& aggregator = *aggregators_[w];
+    aggregator.clear();  // keeps the storage warm for the next query
 
     QueryResult r;
     r.stats.stages.resize(engine_->config().num_stages());
@@ -530,14 +490,6 @@ void QueryPipeline::run_stream_batch(SeedStream& stream,
     // scheduler used to report.
     r.stats.total_seconds = stream.now() - q.arrival_seconds;
     r.stats.queue_seconds = q.claim_seconds - q.arrival_seconds;
-    r.stats.diffusion_serial_seconds =
-        r.stats.compute_seconds() + r.stats.transfer_seconds();
-    std::size_t distinct_workers = 0;
-    for (std::size_t word = 0; word < mask_words; ++word) {
-      distinct_workers += static_cast<std::size_t>(std::popcount(
-          q.worker_words[word].load(std::memory_order_relaxed)));
-    }
-    r.stats.threads_used = distinct_workers;
     r.stats.stolen_tasks = q.stolen.load(std::memory_order_relaxed);
     r.stats.aggregator_bytes = aggregator.bytes();
     r.stats.aggregator_entries = aggregator.entries();
@@ -570,8 +522,7 @@ void QueryPipeline::run_stream_batch(SeedStream& stream,
     on_result(index, std::move(r));
   };
 
-  const auto execute_task = [&](const StealTask& t, std::size_t self,
-                                std::size_t w) {
+  const auto execute_task = [&](const StealTask& t, std::size_t w) {
     BatchQuery& q = *t.query;
     TreeNode& node = *t.node;
     if (node.task.mass > 0.0) {
@@ -595,10 +546,10 @@ void QueryPipeline::run_stream_batch(SeedStream& stream,
           // Publish in reverse selection order: this worker pops LIFO, so
           // it continues depth-first with the first-selected child while
           // thieves take from the other end (the last-selected tail).
-          util::MutexLock lock(deques[self]->mu);
+          util::MutexLock lock(deques[w]->mu);
           for (auto it = node.children.rbegin();
                it != node.children.rend(); ++it) {
-            deques[self]->tasks.push_back({&q, it->get()});
+            deques[w]->tasks.push_back({&q, it->get()});
           }
         }
         wake_all();  // parked workers can steal these
@@ -618,21 +569,21 @@ void QueryPipeline::run_stream_batch(SeedStream& stream,
     // peak at least as large as during this task.
     transient_peaks[w].store(meters[w].peak_bytes(),
                              std::memory_order_relaxed);
-    q.worker_words[self / 64].fetch_or(std::uint64_t{1} << (self % 64),
-                                       std::memory_order_relaxed);
     // acq_rel: the winner of the final decrement observes every executor's
     // outcome writes (release sequence on `remaining`), so reduce_tree
     // reads fully-published nodes.
     if (q.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      finalize_query(q, self);
+      finalize_query(q, w);
     }
     if (live.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       wake_all();  // nothing in flight: parked workers re-check exit
     }
   };
 
-  run_jobs(threads_, [&](std::size_t self, std::size_t w) {
-    WorkerDeque& own = *deques[self];
+  // Every worker runs this loop once, as worker `w`; a failure is caught
+  // inside, recorded in first_error and rethrown after the handoff.
+  const std::function<void(std::size_t)> steal_loop = [&](std::size_t w) {
+    WorkerDeque& own = *deques[w];
     for (;;) {
       if (failed.load(std::memory_order_acquire)) break;
       try {
@@ -676,11 +627,6 @@ void QueryPipeline::run_stream_batch(SeedStream& stream,
             fresh->index = index;
             fresh->arrival_seconds = arrival;
             fresh->claim_seconds = stream.now();
-            fresh->worker_words =
-                std::make_unique<std::atomic<std::uint64_t>[]>(mask_words);
-            for (std::size_t word = 0; word < mask_words; ++word) {
-              fresh->worker_words[word].store(0, std::memory_order_relaxed);
-            }
             fresh->root = std::make_unique<TreeNode>();
             // Claim time IS admission for a stream query: the version
             // stamp (dynamic graphs) freezes here, before any extraction.
@@ -694,7 +640,7 @@ void QueryPipeline::run_stream_batch(SeedStream& stream,
         }
         if (!have) {  // 3. steal, FIFO — victim's oldest (biggest) subtree
           for (std::size_t d = 1; d < deques.size() && !have; ++d) {
-            WorkerDeque& victim = *deques[(self + d) % deques.size()];
+            WorkerDeque& victim = *deques[(w + d) % deques.size()];
             util::MutexLock lock(victim.mu);
             if (!victim.tasks.empty()) {
               task = victim.tasks.front();
@@ -723,7 +669,7 @@ void QueryPipeline::run_stream_batch(SeedStream& stream,
           while (wake_epoch == epoch) idle_cv.wait(lock.native());
           continue;
         }
-        execute_task(task, self, w);
+        execute_task(task, w);
       } catch (...) {
         {
           util::MutexLock lock(error_mu);
@@ -736,7 +682,20 @@ void QueryPipeline::run_stream_batch(SeedStream& stream,
         break;
       }
     }
-  });
+  };
+
+  {
+    util::MutexLock lock(mu_);
+    job_ = &steal_loop;
+    running_ = threads_;
+    ++generation_;
+  }
+  handoff_.notify_all();
+  {
+    util::MutexLock lock(mu_);
+    while (running_ != 0) finished_.wait(lock.native());
+    job_ = nullptr;
+  }
 
   if (first_error != nullptr) std::rethrow_exception(first_error);
   MELO_CHECK(live.load() == 0);

@@ -19,14 +19,19 @@
 //                        total_seconds is arrival→finalize response time,
 //                        queue_seconds the arrival→claim wait. The serving
 //                        front end (core/serving.hpp) builds its admission
-//                        queue, deadline-aware batch formation, and tenant
-//                        fair queueing on top of this call.
+//                        queue, deadline-aware dispatch, and tenant fair
+//                        queueing on top of this call.
 //   query_batch(seeds) — the same scheduler over a pre-filled, closed
 //                        stream, at any thread count and batch size.
 //   query(seed)        — a one-seed batch.
 //
+// One batch owns the pool: query_stream calls on one pipeline run one at a
+// time, and each batch hands its stealing loop to every persistent worker
+// exactly once. Concurrent callers therefore queue behind each other, and
+// each gets exactly its own BatchStats.
+//
 // Each query is reduced by one thread replaying the serial depth-first
-// order into a pooled serial aggregator, so every pipeline result is
+// order into that worker's serial aggregator, so every pipeline result is
 // bit-identical to Engine::query at any thread count, in both aggregation
 // modes (MelopprConfig::aggregation): an exact map, or the bounded c·k
 // TopCK arena (the paper's BRAM memory envelope with the serial table's
@@ -63,10 +68,9 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>  // std::once_flag (the mutexes are util::Mutex)
 #include <span>
 #include <thread>
 #include <vector>
@@ -142,9 +146,9 @@ class QueryPipeline {
  public:
   /// Batch-level accounting for one query_batch/query_stream call: what
   /// the serving layer (cache + prefetcher + stealing) did for the whole
-  /// stream.
-  /// Cache/prefetch deltas are measured around the call, so concurrent
-  /// batches sharing one engine see each other's traffic folded in.
+  /// stream. Cache/prefetch deltas are measured around the call while it
+  /// owns the pool, so they are this batch's alone; only a cache shared
+  /// with another pipeline folds that pipeline's cache traffic in.
   struct BatchStats {
     std::size_t queries = 0;
     double wall_seconds = 0.0;
@@ -246,7 +250,8 @@ class QueryPipeline {
 
   /// Continuous-ingest batch: drains `stream`, claiming seeds as they
   /// arrive (pushes are allowed while this call runs) and blocking until
-  /// the stream is closed and every pushed seed finished. Scores for every
+  /// the stream is closed and every pushed seed finished. A concurrent
+  /// call on the same pipeline waits until this one returns. Scores for every
   /// seed are bit-identical to Engine::query regardless
   /// of when it was injected; QueryStats::total_seconds is arrival→finalize
   /// on the stream's clock and queue_seconds the arrival→claim wait. The
@@ -268,19 +273,10 @@ class QueryPipeline {
   [[nodiscard]] const BallPrefetcher* prefetcher() const {
     return prefetcher_.get();
   }
-  /// The pooled per-worker aggregator arenas every reduction leases from.
-  [[nodiscard]] const AggregatorPool& aggregator_pool() const {
-    return agg_pool_;
-  }
 
  private:
-  /// Enqueues `count` jobs fn(job_index, worker_id) and blocks until all
-  /// complete; the first job exception (if any) is rethrown here. Safe to
-  /// call from several coordinator threads at once — each call waits on its
-  /// own completion latch.
-  void run_jobs(std::size_t count,
-                const std::function<void(std::size_t, std::size_t)>& fn);
-
+  /// Runs each handed-off batch loop once per generation, as worker
+  /// `worker_id`, until the destructor stops the pool.
   void worker_loop(std::size_t worker_id);
 
   /// The work-stealing scheduler over a (possibly still growing) seed
@@ -290,7 +286,8 @@ class QueryPipeline {
   /// cache activate_lookahead() returned for this batch (nullptr: no
   /// lookahead).
   void run_stream_batch(SeedStream& stream, const ResultSink& on_result,
-                        ShardedBallCache* lookahead);
+                        ShardedBallCache* lookahead)
+      MELOPPR_REQUIRES(batch_mu_);
 
   [[nodiscard]] DiffusionBackend& backend_for(std::size_t worker_id) {
     return shared_backend_ != nullptr ? *shared_backend_
@@ -299,9 +296,8 @@ class QueryPipeline {
 
   /// Returns the cache to prefetch into when lookahead is active —
   /// config.prefetch on AND a shared cache installed — spawning the
-  /// prefetch threads on first activation; nullptr otherwise. Safe from
-  /// several concurrent batches.
-  ShardedBallCache* activate_lookahead();
+  /// prefetch threads on first activation; nullptr otherwise.
+  ShardedBallCache* activate_lookahead() MELOPPR_REQUIRES(batch_mu_);
 
   const Engine* engine_;
   PipelineConfig config_;
@@ -315,15 +311,25 @@ class QueryPipeline {
   DiffusionBackend* shared_backend_ = nullptr;
   std::vector<std::unique_ptr<DiffusionBackend>> clones_;
 
-  std::once_flag prefetcher_once_;
+  /// Held by query_stream for its whole body: one batch owns the workers,
+  /// the prefetcher and the aggregators at a time.
+  util::Mutex batch_mu_;
   std::unique_ptr<BallPrefetcher> prefetcher_;
-  AggregatorPool agg_pool_;
+  /// One serial aggregator per worker, built eagerly and cleared before
+  /// each reduction so its storage stays warm across queries. Only worker
+  /// w touches aggregators_[w].
+  std::vector<std::unique_ptr<ScoreAggregator>> aggregators_;
 
   std::vector<std::thread> workers_;
+  /// Batch handoff: run_stream_batch publishes its loop in job_, bumps
+  /// generation_ and waits until running_ drops back to zero.
   util::Mutex mu_;
-  std::deque<std::function<void(std::size_t)>> queue_
-      MELOPPR_GUARDED_BY(mu_);
-  std::condition_variable work_available_;
+  std::condition_variable handoff_;  ///< new generation or stop_
+  std::condition_variable finished_;  ///< running_ reached zero
+  const std::function<void(std::size_t)>* job_ MELOPPR_GUARDED_BY(mu_) =
+      nullptr;
+  std::uint64_t generation_ MELOPPR_GUARDED_BY(mu_) = 0;
+  std::size_t running_ MELOPPR_GUARDED_BY(mu_) = 0;
   bool stop_ MELOPPR_GUARDED_BY(mu_) = false;
 };
 

@@ -142,12 +142,6 @@ struct QueryStats {
   /// time, so the pre-fix service-time view stays derivable.
   double queue_seconds = 0.0;
 
-  /// Serial-sum view of the diffusion work: Σ over all balls of
-  /// (compute + transfer) seconds — the 1-worker latency of this load.
-  double diffusion_serial_seconds = 0.0;
-  /// Worker threads that executed this query's diffusions.
-  std::size_t threads_used = 1;
-
   /// Stage tasks of this query executed by a worker other than the one that
   /// started the query — the work-stealing batch scheduler's spill count.
   /// Zero for the serial engine.

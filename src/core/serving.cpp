@@ -1,6 +1,7 @@
 #include "core/serving.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -15,14 +16,7 @@ ServingConfig& ServingConfig::validate() {
   if (queue_capacity == 0) {
     throw std::invalid_argument("ServingConfig: queue_capacity must be >= 1");
   }
-  if (max_batch == 0) {
-    throw std::invalid_argument("ServingConfig: max_batch must be >= 1");
-  }
-  if (batch_budget_seconds < 0.0) {
-    throw std::invalid_argument(
-        "ServingConfig: batch_budget_seconds must be >= 0");
-  }
-  if (default_deadline_seconds < 0.0) {
+  if (!(default_deadline_seconds >= 0.0)) {  // rejects negatives and NaN
     throw std::invalid_argument(
         "ServingConfig: default_deadline_seconds must be >= 0");
   }
@@ -70,6 +64,9 @@ Admission ServingFrontEnd::submit(graph::NodeId seed, std::size_t tenant,
                                   double deadline_seconds) {
   if (tenant >= config_.tenants) {
     throw std::invalid_argument("ServingFrontEnd::submit: tenant out of range");
+  }
+  if (std::isnan(deadline_seconds)) {
+    throw std::invalid_argument("ServingFrontEnd::submit: deadline is NaN");
   }
   util::MutexLock lock(mu_);
   ++counters_.submitted;
@@ -119,18 +116,11 @@ void ServingFrontEnd::dispatcher_loop() {
     if (pipeline_dead_) break;
     if (shutting_down_ && queued_ == 0) break;
 
-    // Form one batch: round-robin one query per tenant per pass (a
-    // flooding tenant delays itself, not the others), cut by the latency
-    // budget — Σ service estimates, never count — then by max_batch and
-    // by the in-flight room left, so max_in_flight is a hard bound.
-    std::vector<Pending> batch;
-    while (queued_ > 0 && batch.size() < config_.max_batch &&
-           dispatched_.size() + batch.size() < max_in_flight) {
-      if (!batch.empty() && config_.batch_budget_seconds > 0.0 &&
-          static_cast<double>(batch.size() + 1) * service_estimate_ >
-              config_.batch_budget_seconds) {
-        break;  // adding one more would overrun the budget
-      }
+    // One dispatch pass: pop round-robin, one query per tenant per turn (a
+    // flooding tenant delays itself, not the others), until the queue is
+    // empty or max_in_flight — a hard bound — is reached.
+    std::size_t pass = 0;
+    while (queued_ > 0 && dispatched_.size() < max_in_flight) {
       std::size_t t = rr_cursor_;
       for (std::size_t step = 0; step < tenant_queues_.size(); ++step) {
         const std::size_t cand = (rr_cursor_ + step) % tenant_queues_.size();
@@ -161,23 +151,18 @@ void ServingFrontEnd::dispatcher_loop() {
         ++counters_.shed_deadline;
         ++counters_.tenant_shed[shed.tenant];
         finished_.push_back(std::move(shed));
-        continue;  // consumes neither a batch slot nor budget
+        continue;  // takes no in-flight slot
       }
-      batch.push_back(std::move(p));
-    }
-
-    if (!batch.empty()) {
-      ++counters_.batches_formed;
-      counters_.max_batch_size =
-          std::max(counters_.max_batch_size, batch.size());
-      const double dispatch_s = clock_.elapsed_seconds();
       // Push + register under mu_: the completion sink also locks mu_, so
       // a worker finishing the seed can never look it up before it exists.
-      for (Pending& p : batch) {
-        p.dispatch_seconds = dispatch_s;
-        const std::size_t index = stream_.push(p.seed);
-        dispatched_.emplace(index, std::move(p));
-      }
+      p.dispatch_seconds = now_s;
+      const std::size_t index = stream_.push(p.seed);
+      dispatched_.emplace(index, std::move(p));
+      ++pass;
+    }
+    if (pass > 0) {
+      ++counters_.batches_formed;
+      counters_.max_batch_size = std::max(counters_.max_batch_size, pass);
     }
     cv_.notify_all();  // drain waiters may have sheds to collect
   }

@@ -9,15 +9,14 @@
 //     and never hangs: past queue_capacity it returns a TYPED reject
 //     (RejectReason::kQueueFull) immediately, so overload degrades into
 //     explicit, counted sheds instead of unbounded queueing collapse.
-//   * Deadline-aware batch formation — the dispatcher cuts batches by a
-//     LATENCY budget (Σ of per-query service estimates ≤
-//     batch_budget_seconds), not by a fixed count, so a burst cannot form
-//     a batch whose own length blows the tail; queries whose deadline has
-//     already expired at dispatch are shed (ServeStatus::kShedDeadline)
-//     rather than executed into a guaranteed miss.
+//   * Deadline-aware dispatch — each dispatcher pass feeds queued queries
+//     into the pipeline's one seed stream until the queue is empty or
+//     max_in_flight is reached; queries whose deadline has already expired
+//     at dispatch are shed (ServeStatus::kShedDeadline) rather than
+//     executed into a guaranteed miss.
 //   * Per-tenant fair queueing — admission lands in per-tenant sub-queues
-//     and formation round-robins across them, one query per tenant per
-//     pass, so a flooding tenant delays its own tail, not everyone's.
+//     and dispatch round-robins across them, one query per tenant per
+//     turn, so a flooding tenant delays its own tail, not everyone's.
 //   * Arrival-stamped accounting — every response time reported here is
 //     submit()→completion on the front end's clock (admission wait +
 //     scheduler wait + service), the quantity an SLO bounds.
@@ -26,11 +25,10 @@
 // stealing scheduler's serial-order reduction and stays bit-identical to
 // Engine::query; the only queries without scores are the typed sheds.
 //
-// Threads: one dispatcher (forms batches, feeds the pipeline's seed
-// stream) and one pipeline driver (blocks inside query_stream for the
-// front end's lifetime). submit() is safe from any number of producer
-// threads; completions arrive on pipeline workers and are folded under one
-// lock. If the pipeline dies (a worker threw), the error is captured, all
+// Threads: one dispatcher (feeds the pipeline's seed stream) and one
+// pipeline driver (blocks inside query_stream for the front end's
+// lifetime). submit() is safe from any number of producer threads;
+// completions arrive on pipeline workers and are folded under one lock. If the pipeline dies (a worker threw), the error is captured, all
 // waiters are released — never a hang — and drain()/shutdown() rethrow it.
 #pragma once
 
@@ -62,24 +60,19 @@ struct ServingConfig {
   /// Default relative deadline stamped on submissions that do not carry
   /// their own; 0 means no deadline (never shed for lateness).
   double default_deadline_seconds = 0.0;
-  /// Latency budget a formed batch may cost: formation stops adding
-  /// queries once Σ estimated service seconds would exceed it (always at
-  /// least one query). 0 disables the budget cut (max_batch still caps).
-  double batch_budget_seconds = 0.05;
-  /// Hard count cap per formed batch.
-  std::size_t max_batch = 64;
   /// Dispatched-but-uncompleted queries the dispatcher keeps in the
-  /// pipeline before waiting for completions — a hard bound: batch
-  /// formation stops once it is reached. 0 resolves to
+  /// pipeline before waiting for completions — a hard bound: a dispatch
+  /// pass stops once it is reached. 0 resolves to
   /// max(4 * pipeline threads, 16). Bounds the scheduler-side queue the
   /// same way queue_capacity bounds admission.
   std::size_t max_in_flight = 0;
-  /// Seed for the per-query service-time estimate (seconds) the budget
-  /// cut and deadline checks use before any completion has been observed.
+  /// Seed for the per-query service-time estimate (seconds) the
+  /// impossible-deadline check uses before any completion has been
+  /// observed.
   double initial_service_estimate_seconds = 0.005;
   /// EWMA weight of each observed service time folded into the estimate,
   /// in [0, 1). 0 FREEZES the estimate at the initial value — what the
-  /// deterministic batch-formation tests use.
+  /// deterministic deadline tests use.
   double service_estimate_ewma = 0.2;
   /// Shed queries whose deadline has already expired when the dispatcher
   /// reaches them (they would complete late with certainty). Off means
@@ -167,7 +160,9 @@ struct ServingStats {
   std::size_t deadline_misses = 0;  ///< completed but late (deadline_met false)
   std::size_t queued = 0;         ///< waiting in tenant sub-queues now
   std::size_t in_flight = 0;      ///< dispatched, not yet completed
+  /// Dispatcher passes that pushed at least one query into the stream.
   std::size_t batches_formed = 0;
+  /// Most queries one dispatch pass pushed.
   std::size_t max_batch_size = 0;
   /// Edge updates applied through submit_update (0 without a dynamic
   /// graph).
@@ -204,7 +199,8 @@ class ServingFrontEnd {
 
   /// Non-blocking admission. `deadline_seconds` is relative to now: < 0
   /// takes the config default, 0 means none. Throws std::invalid_argument
-  /// for a tenant out of range — that is caller misuse, not load.
+  /// for a tenant out of range or a NaN deadline — that is caller misuse,
+  /// not load.
   Admission submit(graph::NodeId seed, std::size_t tenant = 0,
                    double deadline_seconds = -1.0);
 
@@ -272,7 +268,7 @@ class ServingFrontEnd {
   std::vector<std::deque<Pending>> tenant_queues_ MELOPPR_GUARDED_BY(mu_);
   /// Σ sub-queue sizes
   std::size_t queued_ MELOPPR_GUARDED_BY(mu_) = 0;
-  /// next tenant formation starts from
+  /// next tenant a dispatch pass starts from
   std::size_t rr_cursor_ MELOPPR_GUARDED_BY(mu_) = 0;
   /// 0 never issued
   std::uint64_t next_ticket_ MELOPPR_GUARDED_BY(mu_) = 1;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <utility>
 #include <vector>
@@ -297,27 +298,62 @@ TEST(TopCKProperty, SerialTableBoundCertifiesTopK) {
   }
 }
 
-TEST(BoundedAggregation, PooledBoundedArenasReuseAndIsolate) {
-  AggregatorPool pool(2, [] {
-    return std::make_unique<TopCKAggregator>(8);
-  });
-  {
-    AggregatorPool::Lease lease = pool.acquire(0);
-    EXPECT_EQ(lease->capacity(), 8u);
-    for (graph::NodeId v = 0; v < 12; ++v) {
-      lease->add(v, 0.1 * static_cast<double>(v + 1));
-    }
-    EXPECT_EQ(lease->entries(), 8u);
-    EXPECT_GT(lease->evictions(), 0u);
+// Each pipeline worker keeps one aggregator and clear()s it before every
+// reduction, so a cleared table must behave exactly like a fresh one.
+TEST(BoundedAggregation, ClearedTableKeepsCapacityAndMatchesFresh) {
+  TopCKAggregator reused(8);
+  for (graph::NodeId v = 0; v < 12; ++v) {
+    reused.add(v, 0.1 * static_cast<double>(v + 1));
   }
-  {
-    // Reused arena comes back empty with eviction state reset.
-    AggregatorPool::Lease lease = pool.acquire(0);
-    EXPECT_EQ(lease->entries(), 0u);
-    EXPECT_EQ(lease->evictions(), 0u);
-    EXPECT_EQ(lease->capacity(), 8u);
+  EXPECT_EQ(reused.entries(), 8u);
+  EXPECT_GT(reused.evictions(), 0u);
+
+  reused.clear();
+  EXPECT_EQ(reused.entries(), 0u);
+  EXPECT_EQ(reused.evictions(), 0u);
+  EXPECT_EQ(reused.margin_drops(), 0u);
+  EXPECT_EQ(reused.capacity(), 8u);
+  EXPECT_EQ(reused.eviction_bound(), -std::numeric_limits<double>::infinity());
+
+  TopCKAggregator fresh(8);
+  for (graph::NodeId v = 0; v < 20; ++v) {
+    const double delta = 0.05 * static_cast<double>((v * 7) % 13) - 0.2;
+    reused.add(v % 11, delta);
+    fresh.add(v % 11, delta);
   }
-  EXPECT_EQ(pool.reuses(), 1u);
+  EXPECT_EQ(reused.evictions(), fresh.evictions());
+  const auto a = reused.top(8);
+  const auto b = fresh.top(8);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].node, b[i].node);
+    EXPECT_EQ(a[i].score, b[i].score);
+  }
+}
+
+TEST(ExactAggregator, ClearedMapKeepsBucketsAndMatchesFresh) {
+  ExactAggregator reused;
+  for (graph::NodeId v = 0; v < 100; ++v) reused.add(v, 0.01);
+  const std::size_t buckets = reused.scores().bucket_count();
+  reused.clear();
+  EXPECT_EQ(reused.entries(), 0u);
+  EXPECT_EQ(reused.capacity(), 0u);  // unbounded
+  EXPECT_EQ(reused.evictions(), 0u);
+  EXPECT_EQ(reused.scores().bucket_count(), buckets);  // storage stays warm
+
+  ExactAggregator fresh;
+  for (graph::NodeId v = 0; v < 30; ++v) {
+    const double delta = 0.01 * static_cast<double>(v % 7) - 0.02;
+    reused.add(v % 17, delta);
+    fresh.add(v % 17, delta);
+  }
+  const auto a = reused.top(10);
+  const auto b = fresh.top(10);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].node, b[i].node);
+    EXPECT_EQ(a[i].score, b[i].score);
+  }
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // acquires the same (non-recursive) mutex twice on one path — a
 // guaranteed self-deadlock at runtime, caught at compile time — and calls
 // a MELOPPR_EXCLUDES function while holding the lock it excludes (the
-// AggregatorPool::release contract).
+// contract of any release() that retakes its own lock).
 #include "util/thread_annotations.hpp"
 
 namespace {

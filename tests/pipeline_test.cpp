@@ -105,12 +105,11 @@ TEST(QueryPipeline, WorkerAccountingIsCoherent) {
   QueryPipeline pipeline(engine, farm, pcfg);
 
   const QueryResult r = pipeline.query(11);
-  // Popcount semantics: distinct workers that actually executed a task,
-  // not the pool size — between 1 (one worker drained every task) and
-  // the pool's 4.
-  EXPECT_GE(r.stats.threads_used, 1u);
-  EXPECT_LE(r.stats.threads_used, 4u);
-  EXPECT_GT(r.stats.diffusion_serial_seconds, 0.0);
+  // The root runs on the worker that claimed it, so at most every other
+  // task can have been stolen; the serial diffusion sum covers every ball.
+  ASSERT_GT(r.stats.total_balls(), 1u);
+  EXPECT_LT(r.stats.stolen_tasks, r.stats.total_balls());
+  EXPECT_GT(r.stats.compute_seconds() + r.stats.transfer_seconds(), 0.0);
 }
 
 TEST(QueryPipeline, MergedMemoryPeakIsHonest) {

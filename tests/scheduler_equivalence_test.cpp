@@ -257,7 +257,7 @@ TEST_F(SchedulerEquivalence, SerialStatsUnchangedShape) {
   EXPECT_EQ(r.stats.stages[0].selected, 5u);
   EXPECT_EQ(r.stats.stages[1].balls, 5u);
   EXPECT_EQ(r.stats.total_balls(), 6u);
-  EXPECT_EQ(r.stats.threads_used, 1u);
+  EXPECT_EQ(r.stats.stolen_tasks, 0u);
 }
 
 
