@@ -1,5 +1,5 @@
 // Cache admission policy A/B — LRU always-admit vs TinyLFU frequency
-// gating, with stage-lookahead prefetch layered on top.
+// gating.
 //
 // The sharded ball cache (PR 2) admits every ball that fits its shard's
 // budget: on a skewed stream that is fine, but a burst of unpopular seeds
@@ -8,14 +8,12 @@
 // (CacheAdmission::kTinyLFU) gates retention on estimated access
 // frequency: a candidate that would evict residents must be hotter than
 // every victim, so one-shot scan traffic cannot displace repeatedly-hit
-// balls. Prefetch (PipelineConfig::prefetch) additionally extracts each
-// query's next-stage balls while the current stage still computes.
+// balls.
 //
-// Two streams, three configurations each:
+// Two streams, two configurations each:
 //
 //   skewed      — 70% of traffic on a popular head: the cache's home turf.
-//                 Admission barely matters; prefetch hides part of the
-//                 uniform tail's next-stage BFS.
+//                 Admission barely matters.
 //   scan-burst  — warm (hot set cycled) → scan (one pass of cold seeds,
 //                 in aggregate much larger than the cache) → probe (hot
 //                 set again). The probe phase's demand hit rate is the
@@ -23,7 +21,7 @@
 //                 scan evicted, TinyLFU kept the hot set resident.
 //
 // Scores are asserted bit-identical to the serial engine in every cell —
-// admission and prefetch change retention and scheduling, never numerics.
+// admission changes retention, never numerics.
 //
 //   --smoke          CI mode: small sizes + hard assertions (exit 1 when
 //                    TinyLFU's probe hit rate falls below always-admit's,
@@ -51,26 +49,12 @@ constexpr std::size_t kShards = 8;
 struct AdmissionConfig {
   std::string name;
   core::CacheAdmission admission = core::CacheAdmission::kAlways;
-  bool prefetch = false;  ///< stage-lookahead prefetch
 };
 
 const std::vector<AdmissionConfig> kConfigs = {
-    {"always-admit (LRU)", core::CacheAdmission::kAlways, false},
-    {"TinyLFU", core::CacheAdmission::kTinyLFU, false},
-    {"TinyLFU + prefetch", core::CacheAdmission::kTinyLFU, true},
+    {"always-admit (LRU)", core::CacheAdmission::kAlways},
+    {"TinyLFU", core::CacheAdmission::kTinyLFU},
 };
-
-core::PipelineConfig pipeline_config(const AdmissionConfig& cfg,
-                                     std::size_t threads) {
-  core::PipelineConfig pcfg;
-  pcfg.threads = threads;
-  pcfg.prefetch = cfg.prefetch;
-  // CPU backend here: opt out of the backend-aware throttle so the
-  // prefetch rows actually exercise lookahead (the cores are idle in this
-  // harness; a production CPU-only server keeps the default).
-  pcfg.prefetch_throttle = false;
-  return pcfg;
-}
 
 /// Bit-identical comparison against precomputed serial references.
 bool scores_match_serial(
@@ -96,12 +80,11 @@ struct StreamResult {
   double hit_rate = 0.0;        ///< demand hit rate over the whole stream
   double probe_hit_rate = 0.0;  ///< scan-burst only: the post-scan phase
   core::ShardedBallCache::Stats cache;
-  core::QueryPipeline::BatchStats batch;
   bool identical = true;
 };
 
 int run(bool smoke) {
-  Rng rng = banner("cache admission — LRU vs TinyLFU vs TinyLFU+prefetch");
+  Rng rng = banner("cache admission — LRU vs TinyLFU");
   graph::Graph g = build_graph(graph::PaperGraphId::kG3Pubmed, rng);
 
   core::MelopprConfig cfg = default_config(/*k=*/100);
@@ -110,6 +93,8 @@ int run(bool smoke) {
 
   const std::size_t threads = static_cast<std::size_t>(
       std::max<std::int64_t>(1, env_int("MELOPPR_THREADS", 4)));
+  core::PipelineConfig pcfg;
+  pcfg.threads = threads;
 
   // --- streams -----------------------------------------------------------
   // Skewed: 70% of traffic on 12 popular seeds, like production traffic.
@@ -172,8 +157,7 @@ int run(bool smoke) {
     core::ShardedBallCache probe_cache(g, std::size_t{1} << 30, kShards);
     engine.set_shared_ball_cache(&probe_cache);
     core::CpuBackend backend(cfg.alpha);
-    core::QueryPipeline pipeline(engine, backend,
-                                 pipeline_config(kConfigs.front(), threads));
+    core::QueryPipeline pipeline(engine, backend, pcfg);
     pipeline.query_batch(warm);
     hot_bytes = probe_cache.bytes();
     engine.set_shared_ball_cache(nullptr);
@@ -192,18 +176,14 @@ int run(bool smoke) {
     core::ShardedBallCache cache(g, budget, kShards, acfg.admission);
     engine.set_shared_ball_cache(&cache);
     core::CpuBackend backend(cfg.alpha);
-    core::QueryPipeline pipeline(engine, backend,
-                                 pipeline_config(acfg, threads));
+    core::QueryPipeline pipeline(engine, backend, pcfg);
     Timer wall;
     for (std::size_t p = 0; p < phases.size(); ++p) {
       const core::ShardedBallCache::Stats before = cache.stats();
-      core::QueryPipeline::BatchStats batch;
       const std::vector<core::QueryResult> results =
-          pipeline.query_batch(phases[p], &batch);
+          pipeline.query_batch(phases[p]);
       r.identical =
           r.identical && scores_match_serial(reference, phases[p], results);
-      r.batch.prefetch_issued += batch.prefetch_issued;
-      r.batch.prefetch_hidden_seconds += batch.prefetch_hidden_seconds;
       if (p == probe_phase) {
         const core::ShardedBallCache::Stats after = cache.stats();
         const std::size_t total = (after.hits - before.hits) +
@@ -223,8 +203,7 @@ int run(bool smoke) {
 
   // --- skewed stream -----------------------------------------------------
   TablePrinter skew_table({"configuration", "wall (s)", "q/s", "hit rate",
-                           "evictions", "rejected", "prefetches",
-                           "BFS hidden (s)"});
+                           "evictions", "rejected"});
   bool all_identical = true;
   for (const AdmissionConfig& acfg : kConfigs) {
     const std::vector<std::vector<graph::NodeId>> phases{skewed};
@@ -234,10 +213,7 @@ int run(bool smoke) {
         {acfg.name, fmt_fixed(r.wall_seconds, 3),
          fmt_fixed(static_cast<double>(skew_count) / r.wall_seconds, 1),
          fmt_percent(r.hit_rate), std::to_string(r.cache.evictions),
-         std::to_string(r.cache.admission_rejects),
-         acfg.prefetch ? std::to_string(r.batch.prefetch_issued) : "-",
-         acfg.prefetch ? fmt_fixed(r.batch.prefetch_hidden_seconds, 3)
-                       : "-"});
+         std::to_string(r.cache.admission_rejects)});
   }
   std::cout << "skewed stream (" << skew_count << " queries, 70% on "
             << popular.size() << " seeds):\n"

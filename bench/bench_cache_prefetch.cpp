@@ -1,28 +1,26 @@
-// The concurrent serving layer vs the bare stealing scheduler: sharded
-// ball cache and stage-lookahead prefetch on a skewed (popular-seed-heavy)
-// query stream.
+// The concurrent serving layer vs the bare stealing scheduler: the sharded
+// ball cache on a skewed (popular-seed-heavy) query stream.
 //
 // The paper's Fig. 7 shows CPU-side BFS dominating end-to-end latency once
 // device parallelism grows; without a cache the pipeline pays full BFS on
-// every task. This bench layers the fixes on one at a time, at a fixed
-// thread count, all on the work-stealing batch scheduler:
+// every task. This bench compares, at a fixed thread count, both on the
+// work-stealing batch scheduler:
 //
-//   bare stealing     — no cache, no prefetch
+//   bare stealing     — no cache
 //   + sharded cache   — popular balls extracted once, served to all workers
-//   + prefetch        — next-stage balls extracted during device diffusion
 //
-// Reported per configuration: wall q/s, the BFS seconds the workers still
-// paid (demand), the BFS seconds the cache+prefetcher removed or hid, the
-// demand hit rate, and steal counts. Scores are asserted bit-identical to
-// the serial engine in every configuration — the layer changes scheduling,
-// never numerics.
+// Reported per configuration: wall q/s, the BFS seconds the workers paid,
+// the BFS seconds cache hits saved, the hit rate, and steal counts. Scores
+// are asserted bit-identical to the serial engine in every configuration —
+// the layer changes scheduling, never numerics.
 //
-// A second table runs the same stream against a shared FpgaFarm to show the
-// PS/PL overlap directly: farm dispatch-wait seconds (workers blocked on
-// busy devices) is exactly the window the prefetcher fills with BFS.
+// A second table runs the same stream against a shared FpgaFarm and puts
+// the paper's Fig. 4 PS/PL overlap beside the serial sum: Σ_q (BFS +
+// device) vs Σ_q QueryStats::modeled_overlap_seconds(). Both are model
+// figures (device seconds are FPGA cycles), not wall time.
 //
 //   --smoke          CI mode: small sizes + hard assertions (exit 1 on
-//                    regression in the cache/prefetch path)
+//                    regression in the cache path)
 //   MELOPPR_SEEDS    queries in the stream        (default 96; smoke 24)
 //   MELOPPR_SCALE    graph-size multiplier        (default 1)
 //   MELOPPR_THREADS  worker threads               (default 4)
@@ -43,13 +41,11 @@ namespace {
 struct LayerConfig {
   std::string name;
   bool cache = false;
-  bool prefetch = false;
 };
 
 const std::vector<LayerConfig> kLayers = {
-    {"bare stealing", false, false},
-    {"+ sharded cache", true, false},
-    {"+ prefetch", true, true},
+    {"bare stealing", false},
+    {"+ sharded cache", true},
 };
 
 struct RunResult {
@@ -65,11 +61,6 @@ RunResult run_layer(core::Engine& engine, core::DiffusionBackend& backend,
   engine.set_shared_ball_cache(layer.cache ? cache : nullptr);
   core::PipelineConfig pcfg;
   pcfg.threads = threads;
-  pcfg.prefetch = layer.prefetch;
-  // This bench measures the lookahead layer itself, so the backend-aware
-  // throttle is off: the CPU-backend table shows what prefetch buys when
-  // cores are genuinely spare, the farm table the throttle's target case.
-  pcfg.prefetch_throttle = false;
   core::QueryPipeline pipeline(engine, backend, pcfg);
 
   RunResult r;
@@ -102,7 +93,7 @@ bool scores_match_serial(
 
 int run(bool smoke) {
   Rng rng = banner(
-      "serving layer — sharded cache + prefetch vs bare stealing");
+      "serving layer — sharded cache vs bare stealing");
   graph::Graph g = build_graph(graph::PaperGraphId::kG3Pubmed, rng);
 
   core::MelopprConfig cfg = default_config(/*k=*/100);
@@ -139,7 +130,7 @@ int run(bool smoke) {
   }
 
   TablePrinter table({"configuration", "wall (s)", "q/s", "speedup",
-                      "demand BFS (s)", "BFS hidden (s)", "hit rate",
+                      "BFS paid (s)", "BFS saved (s)", "hit rate",
                       "dedup", "steals"});
   double base_qps = 0.0;
   double layered_qps = 0.0;
@@ -155,24 +146,21 @@ int run(bool smoke) {
     if (layer.name == kLayers.front().name) base_qps = qps;
     layered_qps = qps;
     full_stats = r.stats;
-    // BFS removed or hidden: extraction time spent on prefetch threads plus
-    // the serial-BFS seconds that cache hits made vanish (estimated as
-    // hits x mean miss cost).
+    // BFS saved: the serial-BFS seconds that cache hits made vanish
+    // (estimated as hits x mean miss cost).
     const double mean_miss_s =
         r.stats.cache_misses > 0
             ? cache.extraction_seconds() /
-                  static_cast<double>(r.stats.cache_misses +
-                                      r.stats.prefetched_balls)
+                  static_cast<double>(r.stats.cache_misses)
             : 0.0;
-    const double hidden_s =
-        r.stats.prefetch_hidden_seconds +
+    const double saved_s =
         mean_miss_s * static_cast<double>(r.stats.cache_hits);
     all_identical =
         all_identical && scores_match_serial(reference, stream, r.results);
     table.add_row(
         {layer.name, fmt_fixed(r.wall_seconds, 3), fmt_fixed(qps, 1),
          fmt_fixed(qps / base_qps, 2) + "x",
-         fmt_fixed(r.stats.demand_bfs_seconds, 3), fmt_fixed(hidden_s, 3),
+         fmt_fixed(r.stats.demand_bfs_seconds, 3), fmt_fixed(saved_s, 3),
          layer.cache ? fmt_percent(r.stats.cache_hit_rate()) : "-",
          layer.cache ? std::to_string(r.stats.dedup_hits) : "-",
          std::to_string(r.stats.stolen_tasks)});
@@ -180,35 +168,43 @@ int run(bool smoke) {
 
   std::cout << table.ascii() << '\n';
 
-  // --- PS/PL overlap against a shared device farm. ---
+  // --- Fig. 4 PS/PL overlap against a shared device farm (modeled). ---
   TablePrinter farm_table({"configuration", "wall (s)", "q/s",
-                           "farm wait (s)", "BFS hidden (s)", "hit rate",
-                           "peak devices"});
-  for (const LayerConfig& layer : {kLayers.front(), kLayers.back()}) {
+                           "farm wait (s)", "serial sum (s)",
+                           "modeled overlap (s)", "hit rate", "peak devices"});
+  for (const LayerConfig& layer : kLayers) {
     hw::AcceleratorConfig acfg;
     acfg.parallelism = 16;
     acfg.clock_hz = paper_setup().clock_hz;
     const hw::Quantizer quant = hw::Quantizer::from_graph_stats(
         paper_setup().alpha, paper_setup().q, hw::DChoice::kHalfMaxDegree,
         g.average_degree(), g.max_degree(), g.num_nodes());
-    // Fewer devices than workers: dispatchers must queue for the farm,
-    // which is exactly the window prefetch threads fill with BFS.
+    // Fewer devices than workers: dispatchers must queue for the farm.
     hw::FpgaFarm farm(std::max<std::size_t>(1, threads / 2), acfg, quant);
     core::ShardedBallCache cache(g, cache_mb << 20);
     const RunResult r =
         run_layer(engine, farm, layer, threads, stream, &cache);
+    double serial_s = 0.0;
+    double overlap_s = 0.0;
+    for (const core::QueryResult& q : r.results) {
+      serial_s += q.stats.bfs_seconds() + q.stats.compute_seconds() +
+                  q.stats.transfer_seconds();
+      overlap_s += q.stats.modeled_overlap_seconds();
+    }
     farm_table.add_row(
         {layer.name, fmt_fixed(r.wall_seconds, 3),
          fmt_fixed(static_cast<double>(query_count) / r.wall_seconds, 1),
-         fmt_fixed(farm.dispatch_wait_seconds(), 3),
-         fmt_fixed(r.stats.prefetch_hidden_seconds, 3),
+         fmt_fixed(farm.dispatch_wait_seconds(), 3), fmt_fixed(serial_s, 3),
+         fmt_fixed(overlap_s, 3),
          layer.cache ? fmt_percent(r.stats.cache_hit_rate()) : "-",
          std::to_string(farm.peak_concurrent_runs())});
   }
   std::cout << farm_table.ascii() << '\n'
             << "reading: the cache turns repeated popular-seed BFS into "
-               "memory and the prefetcher moves the remaining BFS into the "
-               "farm-wait window — scores bit-identical throughout.\n";
+               "memory; the modeled overlap is the Fig. 4 latency if each "
+               "stage's BFS hid behind its device time (BFS and modeled "
+               "device seconds, not wall) — scores bit-identical "
+               "throughout.\n";
 
   // --- loud checks (CI smoke gate) ---
   bool ok = true;
@@ -226,11 +222,9 @@ int run(bool smoke) {
     // The remaining gates assume the smoke-mode workload shape (skewed
     // stream, several threads); arbitrary env overrides in full mode can
     // legitimately produce a cold cache or a thread count too small for
-    // stealing/prefetch to engage.
+    // stealing to engage.
     check(full_stats.cache_hit_rate() > 0.3,
           "sharded cache demand hit rate > 30% on the skewed stream");
-    check(threads < 2 || full_stats.prefetch_issued > 0,
-          "prefetcher received lookahead work");
     // Wall-clock q/s on shared CI runners is noisy; the smoke gate only
     // rejects catastrophic regressions of the full stack vs the bare
     // stealing scheduler.

@@ -41,7 +41,7 @@ struct BatchRun {
 BatchRun run_batch(core::Engine& engine, core::DiffusionBackend& backend,
                    core::ShardedBallCache& cache,
                    const std::vector<graph::NodeId>& stream) {
-  // The full serving stack: stealing workers, stage lookahead, shared cache.
+  // The full serving stack: stealing workers and a shared cache.
   engine.set_shared_ball_cache(&cache);
   core::PipelineConfig pcfg;
   pcfg.threads = 4;

@@ -164,7 +164,6 @@ int run() {
     core::CpuBackend cpu(cfg.alpha);
     core::PipelineConfig pcfg;
     pcfg.threads = max_threads;
-    pcfg.prefetch = false;  // isolate the aggregator effect
     core::QueryPipeline pipeline(row.bounded ? bounded_engine : engine, cpu,
                                  pcfg);
     core::QueryPipeline::BatchStats batch;

@@ -109,7 +109,6 @@ int run(bool smoke) {
     m.backend = std::make_unique<core::CpuBackend>(m.cfg.alpha);
     core::PipelineConfig pcfg;
     pcfg.threads = threads;
-    pcfg.prefetch = false;  // isolate aggregation: no cache in this bench
     m.pipeline = std::make_unique<core::QueryPipeline>(*m.engine, *m.backend,
                                                        pcfg);
     modes.push_back(std::move(m));

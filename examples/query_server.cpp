@@ -11,14 +11,14 @@
 //                              path: work-stealing workers run queries
 //                              concurrently, scores stay bit-identical to
 //                              the serial engine;
-//   * pipeline + serving stack — the concurrent layer: sharded ball cache
-//                              shared by all workers and stage-lookahead
-//                              prefetch hiding BFS behind diffusion.
+//   * pipeline + serving stack — the concurrent layer: one sharded ball
+//                              cache shared by all workers.
 // The report shows tail latency, throughput, and what each configuration
 // spends (cache memory vs cores) — the serving-time face of the paper's
 // memory↔latency trade-off, plus the parallelism its Sec. VI-C future work
 // predicts. The new columns surface the serving layer's own telemetry:
-// cache hit rate, prefetch-hidden BFS seconds, steal counts, and — for the
+// cache hit rate, the paper's Fig. 4 PS/PL overlap as a modeled latency
+// beside the serial BFS + device sum, steal counts, and — for the
 // bounded-aggregation rows — the score-table occupancy and evictions of
 // the paper's c·k BRAM strategy, now served through the same concurrent
 // batch path instead of being exact-only.
@@ -70,19 +70,35 @@ int main() {
 
   TablePrinter report({"configuration", "p50 (ms)", "p99 (ms)", "mean (ms)",
                        "wall (s)", "queries/s", "BFS share",
-                       "cache hit rate", "cache MB", "hidden BFS (s)",
-                       "steals", "agg entries", "agg evict"});
+                       "cache hit rate", "cache MB", "serial sum (s)",
+                       "modeled overlap (s)", "steals", "agg entries",
+                       "agg evict"});
 
-  // `service_s` is Σ QueryStats::service_seconds(), NOT total_seconds:
-  // totals are arrival→finalize and include queueing, so dividing BFS by
-  // them would understate the BFS share of actual work. Every ratio is
-  // guarded — an all-shed or instantaneous row prints '-' instead of
-  // dividing by zero.
+  // Per-row sums over the served queries. `service_s` is
+  // Σ QueryStats::service_seconds(), NOT total_seconds: totals are
+  // arrival→finalize and include queueing, so dividing BFS by them would
+  // understate the BFS share of actual work. `serial_s` (BFS + device) and
+  // `overlap_s` (Σ QueryStats::modeled_overlap_seconds(), the Fig. 4
+  // model) are latency sums, not wall time.
+  struct Tally {
+    double bfs_s = 0.0;
+    double service_s = 0.0;
+    double serial_s = 0.0;
+    double overlap_s = 0.0;
+    void add(const core::QueryStats& st) {
+      bfs_s += st.bfs_seconds();
+      service_s += st.service_seconds();
+      serial_s +=
+          st.bfs_seconds() + st.compute_seconds() + st.transfer_seconds();
+      overlap_s += st.modeled_overlap_seconds();
+    }
+  };
+  // Every ratio is guarded — an all-shed or instantaneous row prints '-'
+  // instead of dividing by zero.
   const auto add_row = [&](const std::string& name, const Samples& latency_ms,
-                           double wall_s, double bfs_s, double service_s,
+                           double wall_s, const Tally& tally,
                            const std::string& hit_rate,
                            const std::string& cache_mb,
-                           const std::string& hidden,
                            const std::string& steals,
                            const std::string& agg_entries,
                            const std::string& agg_evict) {
@@ -95,8 +111,10 @@ int main() {
          wall_s > 0.0
              ? fmt_fixed(static_cast<double>(latency_ms.count()) / wall_s, 1)
              : "-",
-         service_s > 0.0 ? fmt_percent(bfs_s / service_s) : "-", hit_rate,
-         cache_mb, hidden, steals, agg_entries, agg_evict});
+         tally.service_s > 0.0 ? fmt_percent(tally.bfs_s / tally.service_s)
+                               : "-",
+         hit_rate, cache_mb, fmt_fixed(tally.serial_s, 2),
+         fmt_fixed(tally.overlap_s, 2), steals, agg_entries, agg_evict});
   };
 
   // --- Serial engine, cold and with byte-budgeted ball caches. ---
@@ -104,25 +122,23 @@ int main() {
                                 const std::string& name) {
     engine.set_shared_ball_cache(cache);
     Samples latency_ms;
-    double bfs_s = 0.0;
-    double total_s = 0.0;
+    Tally tally;
     Timer wall;
     for (graph::NodeId seed : stream) {
       Timer t;
       const core::QueryResult r = engine.query(seed);
       latency_ms.add(t.elapsed_ms());
-      bfs_s += r.stats.bfs_seconds();
-      total_s += r.stats.service_seconds();
+      tally.add(r.stats);
     }
     const double wall_s = wall.elapsed_seconds();
     engine.set_shared_ball_cache(nullptr);
-    add_row(name, latency_ms, wall_s, bfs_s, total_s,
+    add_row(name, latency_ms, wall_s, tally,
             cache != nullptr ? fmt_percent(cache->hit_rate()) : "-",
             cache != nullptr
                 ? fmt_fixed(static_cast<double>(cache->bytes()) / (1 << 20),
                             1)
                 : "-",
-            "-", "-", "-", "-");
+            "-", "-", "-");
   };
 
   serve_serial(nullptr, "serial, cold");
@@ -134,8 +150,8 @@ int main() {
   serve_serial(&big_cache, "serial, 64 MB ball cache");
 
   // --- Pipeline: the same stream served by T concurrent workers, bare
-  //     (no cache, no prefetch), with the full serving stack (sharded
-  //     cache + stage-lookahead prefetch), and with the serving
+  //     (no cache), with the full serving stack (one sharded cache
+  //     shared by all workers), and with the serving
   //     stack plus bounded top-c·k aggregation (the paper's BRAM memory
   //     envelope per in-flight query, scores bit-identical to the serial
   //     bounded engine). ---
@@ -153,12 +169,6 @@ int main() {
     core::CpuBackend backend(cfg.alpha);
     core::PipelineConfig pcfg;
     pcfg.threads = threads;
-    pcfg.prefetch = serving_stack;
-    // This demo host's cores are otherwise idle during the run, so opt out
-    // of the backend-aware throttle to show the lookahead columns; a
-    // production CPU-only server keeps the default (throttled) and relies
-    // on the cache alone.
-    pcfg.prefetch_throttle = false;
     core::ShardedBallCache shared_cache(g, 64u << 20, 0, admission);
     if (serving_stack) eng.set_shared_ball_cache(&shared_cache);
     core::QueryPipeline pipeline(eng, backend, pcfg);
@@ -169,12 +179,10 @@ int main() {
     const double wall_s = wall.elapsed_seconds();
     eng.set_shared_ball_cache(nullptr);
     Samples latency_ms;
-    double bfs_s = 0.0;
-    double total_s = 0.0;
+    Tally tally;
     for (const auto& r : results) {
       latency_ms.add(r.stats.total_seconds * 1e3);
-      bfs_s += r.stats.bfs_seconds();
-      total_s += r.stats.service_seconds();
+      tally.add(r.stats);
     }
     const std::string label =
         (bounded ? "bounded c=10 stack, "
@@ -183,20 +191,18 @@ int main() {
         (admission == core::CacheAdmission::kTinyLFU ? " +TinyLFU" : "");
     if (serving_stack) {
       serving_notes.push_back(
-          label + ": prefetches " + std::to_string(batch.prefetch_issued) +
-          " (" + std::to_string(batch.prefetched_balls) + " balls BFS'd)" +
+          label + ": demand misses " + std::to_string(batch.cache_misses) +
+          ", dedup joins " + std::to_string(batch.dedup_hits) +
           ", admission rejects " +
           std::to_string(batch.cache_admission_rejects));
     }
-    add_row(label, latency_ms, wall_s, bfs_s, total_s,
+    add_row(label, latency_ms, wall_s, tally,
             serving_stack ? fmt_percent(batch.cache_hit_rate()) : "-",
             serving_stack
                 ? fmt_fixed(
                       static_cast<double>(shared_cache.bytes()) / (1 << 20),
                       1)
                 : "-",
-            serving_stack ? fmt_fixed(batch.prefetch_hidden_seconds, 2)
-                          : "-",
             std::to_string(batch.stolen_tasks),
             std::to_string(batch.peak_aggregator_entries),
             bounded ? std::to_string(batch.aggregator_evictions) : "-");
@@ -227,8 +233,6 @@ int main() {
     core::CpuBackend backend(cfg.alpha);
     core::PipelineConfig pcfg;
     pcfg.threads = 4;
-    pcfg.prefetch = true;
-    pcfg.prefetch_throttle = false;
     core::ShardedBallCache shared_cache(g, 64u << 20);
     engine.set_shared_ball_cache(&shared_cache);
     core::QueryPipeline pipeline(engine, backend, pcfg);
@@ -256,21 +260,18 @@ int main() {
     engine.set_shared_ball_cache(nullptr);
 
     Samples latency_ms;
-    double bfs_s = 0.0;
-    double total_s = 0.0;
+    Tally tally;
     for (const core::ServedQuery& sq : served) {
       if (sq.status != core::ServeStatus::kOk) continue;
       latency_ms.add(sq.response_seconds * 1e3);
-      bfs_s += sq.result.stats.bfs_seconds();
-      total_s += sq.result.stats.service_seconds();
+      tally.add(sq.result.stats);
     }
     const core::ServingStats ss = fe.stats();
     const core::QueryPipeline::BatchStats& batch = fe.pipeline_stats();
-    add_row("SLO front end, 4 workers", latency_ms, wall_s, bfs_s, total_s,
+    add_row("SLO front end, 4 workers", latency_ms, wall_s, tally,
             fmt_percent(batch.cache_hit_rate()),
             fmt_fixed(static_cast<double>(shared_cache.bytes()) / (1 << 20),
                       1),
-            fmt_fixed(batch.prefetch_hidden_seconds, 2),
             std::to_string(batch.stolen_tasks),
             std::to_string(batch.peak_aggregator_entries), "-");
     serving_notes.push_back(
@@ -320,18 +321,16 @@ int main() {
     const double wall_s = wall.elapsed_seconds();
     fx_engine.set_shared_ball_cache(nullptr);
     Samples latency_ms;
-    double bfs_s = 0.0;
-    double total_s = 0.0;
+    Tally tally;
     for (const auto& r : results) {
       latency_ms.add(r.stats.total_seconds * 1e3);
-      bfs_s += r.stats.bfs_seconds();
-      total_s += r.stats.service_seconds();
+      tally.add(r.stats);
     }
-    add_row("degraded farm, 4 workers", latency_ms, wall_s, bfs_s, total_s,
+    add_row("degraded farm, 4 workers", latency_ms, wall_s, tally,
             fmt_percent(batch.cache_hit_rate()),
             fmt_fixed(static_cast<double>(shared_cache.bytes()) / (1 << 20),
                       1),
-            "-", std::to_string(batch.stolen_tasks),
+            std::to_string(batch.stolen_tasks),
             std::to_string(batch.peak_aggregator_entries), "-");
     serving_notes.push_back(
         "degraded farm (plan: " + plan.summary() + "): outcomes ok/degr/fail " +
@@ -348,7 +347,7 @@ int main() {
   }
 
   std::cout << report.ascii() << '\n';
-  std::cout << "serving-layer lookahead/admission detail:\n";
+  std::cout << "serving-layer cache/admission detail:\n";
   for (const std::string& note : serving_notes) {
     std::cout << "  " << note << '\n';
   }
@@ -356,7 +355,9 @@ int main() {
             << "reading: the cache converts the BFS share of repeated "
                "queries into memory; the pipeline converts idle cores into "
                "throughput at identical scores; the serving stack combines "
-               "both and hides the residual BFS behind diffusion; the "
+               "both; the modeled-overlap column is the paper's Fig. 4 "
+               "latency if each stage's BFS hid behind its device time "
+               "(a model figure beside the serial sum, not wall time); the "
                "bounded rows additionally cap every in-flight query's "
                "score table at c*k entries (the paper's BRAM envelope) "
                "with scores still bit-identical to the serial bounded "

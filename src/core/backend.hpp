@@ -137,19 +137,13 @@ class DiffusionBackend {
 
   /// True when run() executes the diffusion off the host CPU (an
   /// accelerator or accelerator farm), so dispatching threads block while
-  /// the device computes and host cores sit idle. The pipeline's
-  /// backend-aware prefetch throttle only spawns lookahead BFS threads for
-  /// offloading backends — against a CPU backend they would oversubscribe
-  /// the very cores the workers compute on.
+  /// the device computes and host cores sit idle. The pipeline does not
+  /// read it; it stays for decorators and tracing backends that forward it.
   [[nodiscard]] virtual bool offloads_compute() const { return false; }
 
   /// Callers currently inside run() — executing on a device or blocked on
-  /// device checkout. This is the live idleness signal behind the
-  /// pipeline's farm-wait prefetch meter: while a shared offloading
-  /// backend reports 0, no worker is parked on the device side, so host
-  /// cores belong to the demand path and lookahead BFS pauses. Backends
-  /// without a live signal keep this default ("unknown — assume busy"),
-  /// which never pauses lookahead.
+  /// device checkout: a live farm-occupancy gauge. Backends without a live
+  /// signal keep this default ("unknown — assume busy").
   [[nodiscard]] virtual std::size_t active_dispatches() const {
     return std::numeric_limits<std::size_t>::max();
   }
@@ -238,10 +232,8 @@ class FailoverBackend final : public DiffusionBackend {
   [[nodiscard]] std::size_t max_concurrent_runs() const override {
     return primary_->max_concurrent_runs();
   }
-  /// The prefetch throttle keys on the primary: while the farm serves,
-  /// dispatchers block device-side exactly as without the decorator. (A
-  /// fully failed-over stack computes on host cores, but by then the farm
-  /// reports no active dispatches and the wait meter pauses lookahead.)
+  /// Offload and occupancy are the primary's: while the farm serves,
+  /// dispatchers block device-side exactly as without the decorator.
   [[nodiscard]] bool offloads_compute() const override {
     return primary_->offloads_compute();
   }

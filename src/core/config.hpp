@@ -46,47 +46,20 @@ enum class CacheAdmission {
   kTinyLFU,
 };
 
-/// Concurrency surface of the QueryPipeline (core/pipeline.hpp): how many
-/// workers, and how the stage-lookahead prefetcher feeds them.
+/// Concurrency surface of the QueryPipeline (core/pipeline.hpp).
 struct PipelineConfig {
   /// Worker threads; 0 → std::thread::hardware_concurrency() (min 1).
   std::size_t threads = 0;
 
-  /// Stage-lookahead BFS prefetch. When the engine has a shared
-  /// (ShardedBallCache) ball cache installed, each finished stage task's
-  /// next-stage children are handed to dedicated prefetch threads, which
-  /// extract their balls into the cache while the current stage's
-  /// diffusions still occupy the backend — the PS/PL overlap of Fig. 4.
-  /// The threads pause while a shared offloading backend is idle — see
-  /// QueryPipeline. No-op without a shared cache; never affects scores.
-  bool prefetch = true;
-
-  /// Dedicated prefetch (host BFS) threads; 0 → max(1, threads/2). These
-  /// are in addition to the worker pool: workers blocked on a busy device
-  /// farm leave exactly this many cores for lookahead BFS.
+  /// Ignored. Every ball extraction is a demand fetch on the worker that
+  /// needs it; the field stays only because the repo benchmark
+  /// (perfbench) still assigns it, and goes with its next revision.
   std::size_t prefetch_threads = 0;
-
-  /// Backend-aware prefetch throttle (ROADMAP "Prefetch throttling"). When
-  /// true (default), lookahead BFS threads only run for backends that
-  /// offload diffusion off the host (a device or device farm) — that is,
-  /// exactly when dispatchers block on the farm and leave cores idle. On a
-  /// CPU-only backend the workers themselves occupy every core, so
-  /// prefetch threads would only oversubscribe; the throttle keeps them
-  /// unspawned. Set false to force lookahead regardless of backend (e.g.
-  /// to measure the layer in isolation, or when the host has known-idle
-  /// cores).
-  bool prefetch_throttle = true;
 
   [[nodiscard]] std::size_t resolved_threads() const {
     if (threads != 0) return threads;
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : hw;
-  }
-
-  [[nodiscard]] std::size_t resolved_prefetch_threads() const {
-    if (prefetch_threads != 0) return prefetch_threads;
-    const std::size_t half = resolved_threads() / 2;
-    return half == 0 ? 1 : half;
   }
 };
 

@@ -97,8 +97,7 @@ StageOutcome Engine::run_task(const StageTask& task, DiffusionBackend& backend,
   // cache; otherwise the ball is owned by this task and freed on return.
   // The cache's shared_ptr pins the ball against concurrent eviction for
   // the scope of this task. bfs_seconds is the wall time this task
-  // *waited* for its ball — near zero on a cache hit, which is exactly how
-  // prefetching shows up in the Fig. 7 split.
+  // *waited* for its ball — near zero on a cache hit.
   // Extraction is retried against *environmental* failures (a flaky
   // extractor or storage layer) up to config_.extraction_attempts; caller
   // errors (std::invalid_argument — a bad seed is bad on every attempt)
@@ -114,9 +113,8 @@ StageOutcome Engine::run_task(const StageTask& task, DiffusionBackend& backend,
       if (shared_cache_ != nullptr) {
         // task.version (the query's admission stamp) is the freshness
         // floor: the cache never serves this task a ball older than it.
-        ShardedBallCache::Fetch fetch = shared_cache_->fetch(
-            task.root, length, ShardedBallCache::FetchKind::kDemand,
-            task.version);
+        ShardedBallCache::Fetch fetch =
+            shared_cache_->fetch(task.root, length, task.version);
         fetch.hit ? ++st.cache_hits : ++st.cache_misses;
         pinned = std::move(fetch.ball);
         ball_ptr = pinned.get();

@@ -129,8 +129,7 @@ class Engine {
 
   /// Serves all ball extractions through the thread-safe sharded cache
   /// (nullptr restores direct extraction) — safe under any number of
-  /// workers, and the storage side of the pipeline's stage-lookahead
-  /// prefetcher. The cache must be built over the same graph and outlive
+  /// workers. The cache must be built over the same graph and outlive
   /// the engine's queries; its footprint is charged to the query's memory
   /// peak under the "ball_cache" category instead of per-stage "ball".
   void set_shared_ball_cache(ShardedBallCache* cache) {

@@ -61,8 +61,7 @@ QueryPipeline::QueryPipeline(const Engine& engine, DiffusionBackend& backend,
                              PipelineConfig config)
     : engine_(&engine),
       config_(config),
-      threads_(config.resolved_threads()),
-      backend_offloads_(backend.offloads_compute()) {
+      threads_(config.resolved_threads()) {
   // Aggregators follow the engine's aggregation mode: exact maps, or
   // bounded c·k tables whose clear() keeps the fixed slots warm.
   const MelopprConfig& mc = engine.config();
@@ -92,35 +91,6 @@ QueryPipeline::~QueryPipeline() {
   }
   handoff_.notify_all();
   for (std::thread& t : workers_) t.join();
-}
-
-ShardedBallCache* QueryPipeline::activate_lookahead() {
-  if (!config_.prefetch) return nullptr;
-  // Backend-aware throttle: lookahead BFS threads only pay off while
-  // dispatchers block on an offloading backend (farm/device). Against a
-  // CPU backend the workers already occupy every core, so prefetch
-  // threads would oversubscribe — the demand path fetches instead.
-  if (config_.prefetch_throttle && !backend_offloads_) return nullptr;
-  ShardedBallCache* cache = engine_->shared_ball_cache();
-  if (cache == nullptr) return nullptr;
-  // Lazy: a pipeline that never sees a shared cache never pays for
-  // prefetch threads (they could do no work anyway). batch_mu_ makes this
-  // check-then-create race-free.
-  if (prefetcher_ == nullptr) {
-    // Farm-wait meter: pause lookahead while the shared offloading
-    // backend is momentarily idle (no dispatcher inside run() means host
-    // cores carry the demand path alone). Only a shared backend has an
-    // aggregate live signal — per-worker clones cannot be polled as one.
-    std::function<bool()> pause;
-    if (backend_offloads_ && shared_backend_ != nullptr) {
-      pause = [backend = shared_backend_] {
-        return backend->active_dispatches() == 0;
-      };
-    }
-    prefetcher_ = std::make_unique<BallPrefetcher>(
-        config_.resolved_prefetch_threads(), std::move(pause));
-  }
-  return cache;
 }
 
 void QueryPipeline::worker_loop(std::size_t worker_id) {
@@ -198,44 +168,16 @@ struct QueryTally {
   }
 };
 
-/// Scope guard: the lookahead contract ("no prefetch thread touches any
-/// cache passed earlier after query_stream() returns") must hold on the
-/// throw path too — a caller that tears the cache down after catching a
-/// batch error would otherwise race live prefetch threads. Quiesce is
-/// idempotent (the success path still quiesces explicitly before reading
-/// its stat deltas). A null prefetcher (lookahead inactive) makes the guard
-/// a no-op.
-class LookaheadDrain {
- public:
-  explicit LookaheadDrain(BallPrefetcher* prefetcher)
-      : prefetcher_(prefetcher) {}
-  LookaheadDrain(const LookaheadDrain&) = delete;
-  LookaheadDrain& operator=(const LookaheadDrain&) = delete;
-  ~LookaheadDrain() {
-    if (prefetcher_ != nullptr) prefetcher_->quiesce();
-  }
-
- private:
-  BallPrefetcher* prefetcher_;
-};
-
-/// Serving-layer counters (cache + prefetcher + shared-backend health)
-/// measured as deltas around one stream call: snapshot at construction,
-/// fill() writes current-minus-snapshot into BatchStats.
+/// Serving-layer counters (cache + shared-backend health) measured as
+/// deltas around one stream call: snapshot at construction, fill() writes
+/// current-minus-snapshot into BatchStats.
 class ServingDeltas {
  public:
-  ServingDeltas(ShardedBallCache* cache, BallPrefetcher* prefetcher,
-                DiffusionBackend* backend)
-      : cache_(cache), prefetcher_(prefetcher), backend_(backend) {
+  ServingDeltas(ShardedBallCache* cache, DiffusionBackend* backend)
+      : cache_(cache), backend_(backend) {
     if (cache_ != nullptr) {
       dedup_ = cache_->dedup_hits();
       rejects_ = cache_->admission_rejects();
-    }
-    if (prefetcher_ != nullptr) {
-      issued_ = prefetcher_->issued();
-      fetched_ = prefetcher_->balls_fetched();
-      hidden_ = prefetcher_->hidden_seconds();
-      failures_ = prefetcher_->failures();
     }
     // Shared-backend health (farm breaker/probe counters) is cumulative,
     // so trips/probes are deltas too; device counts are absolute state.
@@ -255,24 +197,13 @@ class ServingDeltas {
       bs.dedup_hits = cache_->dedup_hits() - dedup_;
       bs.cache_admission_rejects = cache_->admission_rejects() - rejects_;
     }
-    if (prefetcher_ != nullptr) {
-      bs.prefetch_issued = prefetcher_->issued() - issued_;
-      bs.prefetched_balls = prefetcher_->balls_fetched() - fetched_;
-      bs.prefetch_hidden_seconds = prefetcher_->hidden_seconds() - hidden_;
-      bs.prefetch_failures = prefetcher_->failures() - failures_;
-    }
   }
 
  private:
   ShardedBallCache* cache_;
-  BallPrefetcher* prefetcher_;
   DiffusionBackend* backend_;
   std::size_t dedup_ = 0;
   std::size_t rejects_ = 0;
-  std::size_t issued_ = 0;
-  std::size_t fetched_ = 0;
-  std::size_t failures_ = 0;
-  double hidden_ = 0.0;
   DispatchHealth health_{};
 };
 
@@ -298,16 +229,11 @@ std::vector<QueryResult> QueryPipeline::query_batch(
 void QueryPipeline::query_stream(SeedStream& stream,
                                  const ResultSink& on_result,
                                  BatchStats* batch_stats) {
-  // One batch owns the pool: activation, the delta snapshot, the stealing
-  // loop, the quiesce and the stats fill all belong to this call alone.
+  // One batch owns the pool: the delta snapshot, the stealing loop and the
+  // stats fill all belong to this call alone.
   util::MutexLock batch_lock(batch_mu_);
-  ShardedBallCache* lookahead = activate_lookahead();
-  // The wall clock starts AFTER activation so the first batch's q/s does
-  // not pay the one-time prefetch-thread spawn.
   Timer wall;
-  LookaheadDrain drain(lookahead != nullptr ? prefetcher_.get() : nullptr);
-  ServingDeltas deltas(engine_->shared_ball_cache(), prefetcher_.get(),
-                       shared_backend_);
+  ServingDeltas deltas(engine_->shared_ball_cache(), shared_backend_);
 
   util::Mutex tally_mu;
   QueryTally tally;
@@ -319,15 +245,10 @@ void QueryPipeline::query_stream(SeedStream& stream,
       }
       on_result(index, std::move(r));
     };
-    run_stream_batch(stream, sink, lookahead);
+    run_stream_batch(stream, sink);
   } else {
-    run_stream_batch(stream, on_result, lookahead);
+    run_stream_batch(stream, on_result);
   }
-
-  // Quiesce before reading deltas (and before the caller may tear the
-  // cache down): queued lookahead from the stream's tail would otherwise
-  // keep prefetch threads touching the cache after we return.
-  if (lookahead != nullptr) prefetcher_->quiesce();
 
   if (batch_stats != nullptr) {
     *batch_stats = tally.finish();
@@ -406,8 +327,7 @@ std::size_t tree_bytes(const TreeNode& node) {
 }  // namespace
 
 void QueryPipeline::run_stream_batch(SeedStream& stream,
-                                     const ResultSink& on_result,
-                                     ShardedBallCache* lookahead) {
+                                     const ResultSink& on_result) {
   std::vector<std::unique_ptr<WorkerDeque>> deques;
   deques.reserve(threads_);
   for (std::size_t w = 0; w < threads_; ++w) {
@@ -553,15 +473,6 @@ void QueryPipeline::run_stream_batch(SeedStream& stream,
           }
         }
         wake_all();  // parked workers can steal these
-        if (lookahead != nullptr) {
-          // This worker dives into children[0] next; its siblings' balls
-          // are lookahead work for the prefetch threads.
-          for (std::size_t c = 1; c < node.children.size(); ++c) {
-            prefetcher_->enqueue(
-                *lookahead, node.children[c]->task.root,
-                engine_->config().stage_lengths[node.children[c]->task.stage]);
-          }
-        }
       }
     }
     // Republish this worker's transient peak before the release on

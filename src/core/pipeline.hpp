@@ -37,21 +37,13 @@
 // TopCK arena (the paper's BRAM memory envelope with the serial table's
 // exact semantics).
 //
-// Host/device overlap: when the engine carries a ShardedBallCache, the
-// pipeline runs a stage-lookahead prefetcher — the moment a task's
-// children are selected, dedicated host threads extract the balls of the
-// siblings the worker does not dive into next while the current stage's
-// diffusions still occupy the backend. This is the Fig. 4 PS/PL overlap
-// the paper leaves serial: CPU-side BFS, the end-to-end bottleneck of
-// Fig. 7, hides behind device time instead of serializing in front of it.
-// Prefetch never affects scores; a missed prefetch just means the demand
-// fetch pays the BFS itself.
-//
-// Farm-wait metering: with a shared offloading backend, lookahead pauses
-// while it reports zero active dispatches — an idle farm means no worker is
-// blocked device-side, so the host's cores belong to the demand path and
-// extra BFS threads would oversubscribe them. It resumes the moment a
-// dispatch enters the farm.
+// Ball extraction: every ball is a demand fetch on the worker that runs
+// its task, served through the engine's ShardedBallCache when one is
+// installed. The paper's Fig. 4 PS/PL overlap (host BFS hidden behind
+// device diffusion) is reported as a model figure,
+// QueryStats::modeled_overlap_seconds(), not reproduced with extra host
+// threads: when BFS outweighs device time there is nothing to hide it
+// behind, and lookahead threads only add BFS work.
 //
 // Backend policy: a thread_safe() backend (CpuBackend, FpgaFarm) is shared
 // by all workers — the farm then receives genuinely concurrent dispatches,
@@ -77,7 +69,6 @@
 
 #include "core/config.hpp"
 #include "core/engine.hpp"
-#include "core/prefetcher.hpp"
 #include "util/thread_annotations.hpp"
 #include "util/timer.hpp"
 
@@ -145,10 +136,10 @@ class SeedStream {
 class QueryPipeline {
  public:
   /// Batch-level accounting for one query_batch/query_stream call: what
-  /// the serving layer (cache + prefetcher + stealing) did for the whole
-  /// stream. Cache/prefetch deltas are measured around the call while it
-  /// owns the pool, so they are this batch's alone; only a cache shared
-  /// with another pipeline folds that pipeline's cache traffic in.
+  /// the serving layer (cache + stealing) did for the whole stream. Cache
+  /// deltas are measured around the call while it owns the pool, so they
+  /// are this batch's alone; only a cache shared with another pipeline
+  /// folds that pipeline's cache traffic in.
   struct BatchStats {
     std::size_t queries = 0;
     double wall_seconds = 0.0;
@@ -157,19 +148,19 @@ class QueryPipeline {
     std::size_t cache_hits = 0;      ///< demand hits (incl. dedup joins)
     std::size_t cache_misses = 0;
     std::size_t dedup_hits = 0;      ///< joins of an in-flight extraction
+    /// Always 0: the pipeline runs no lookahead, so nothing is prefetched,
+    /// hidden or re-extracted and no root window exists. These five fields
+    /// stay only because the repo benchmark (perfbench) still reads them;
+    /// they go with its next revision.
     std::size_t prefetch_issued = 0;
-    std::size_t prefetched_balls = 0;  ///< lookahead BFS actually performed
-    /// Always 0: the pipeline has no cross-query root lookahead, so no
-    /// root-prefetched ball is ever re-extracted and no root window exists.
-    /// Both fields stay only because the repo benchmark (perfbench) still
-    /// reads them; they go with its next revision.
+    std::size_t prefetched_balls = 0;
     std::size_t root_reextractions = 0;
     std::size_t last_root_prefetch_window = 0;
+    double prefetch_hidden_seconds = 0.0;
     /// Balls the cache served but declined to retain because a resident
     /// victim was estimated hotter (CacheAdmission::kTinyLFU only).
     std::size_t cache_admission_rejects = 0;
-    double prefetch_hidden_seconds = 0.0;  ///< BFS time moved off demand path
-    double demand_bfs_seconds = 0.0;       ///< BFS time still paid by workers
+    double demand_bfs_seconds = 0.0;  ///< BFS time paid by the workers
     /// Largest per-query peak_bytes in the batch (upper bound: every
     /// query's peak folds in all workers' transient ball/device
     /// footprints, since tasks of any query may run on any worker).
@@ -191,9 +182,6 @@ class QueryPipeline {
     std::size_t failed_balls = 0;      ///< balls missing from scores entirely
     std::size_t degraded_queries = 0;  ///< outcome() == kDegraded
     std::size_t failed_queries = 0;    ///< outcome() == kFailed
-    /// Prefetch-worker extractions that threw (worker survived and kept
-    /// draining; the demand path re-attempts the ball itself).
-    std::size_t prefetch_failures = 0;
     std::size_t breaker_trips = 0;     ///< closed→open transitions this batch
     std::size_t breaker_probes = 0;    ///< half-open probes this batch
     std::size_t devices = 0;           ///< farm size at batch end
@@ -220,8 +208,8 @@ class QueryPipeline {
     }
   };
 
-  /// Spawns the worker pool (prefetch threads spawn lazily, see
-  /// prefetcher()). `engine` and `backend` must outlive the pipeline.
+  /// Spawns the worker pool. `engine` and `backend` must outlive the
+  /// pipeline.
   QueryPipeline(const Engine& engine, DiffusionBackend& backend,
                 PipelineConfig config = {});
   QueryPipeline(const QueryPipeline&) = delete;
@@ -264,16 +252,6 @@ class QueryPipeline {
   [[nodiscard]] const PipelineConfig& config() const { return config_; }
   [[nodiscard]] const Engine& engine() const { return *engine_; }
 
-  /// The stage-lookahead prefetcher. Created lazily by the first batch
-  /// that finds a ShardedBallCache on the engine (threads are pointless
-  /// without one), so this is nullptr until then — and permanently when
-  /// config.prefetch is off or the backend-aware throttle suppresses
-  /// lookahead (config.prefetch_throttle with a backend that computes on
-  /// the host's own cores).
-  [[nodiscard]] const BallPrefetcher* prefetcher() const {
-    return prefetcher_.get();
-  }
-
  private:
   /// Runs each handed-off batch loop once per generation, as worker
   /// `worker_id`, until the destructor stops the pool.
@@ -282,11 +260,8 @@ class QueryPipeline {
   /// The work-stealing scheduler over a (possibly still growing) seed
   /// stream — every query runs through here. Results are
   /// delivered through `on_result` as each query finalizes; serving-layer
-  /// deltas are taken by the caller around this call. `lookahead` is the
-  /// cache activate_lookahead() returned for this batch (nullptr: no
-  /// lookahead).
-  void run_stream_batch(SeedStream& stream, const ResultSink& on_result,
-                        ShardedBallCache* lookahead)
+  /// deltas are taken by the caller around this call.
+  void run_stream_batch(SeedStream& stream, const ResultSink& on_result)
       MELOPPR_REQUIRES(batch_mu_);
 
   [[nodiscard]] DiffusionBackend& backend_for(std::size_t worker_id) {
@@ -294,27 +269,18 @@ class QueryPipeline {
                                       : *clones_[worker_id];
   }
 
-  /// Returns the cache to prefetch into when lookahead is active —
-  /// config.prefetch on AND a shared cache installed — spawning the
-  /// prefetch threads on first activation; nullptr otherwise.
-  ShardedBallCache* activate_lookahead() MELOPPR_REQUIRES(batch_mu_);
-
   const Engine* engine_;
   PipelineConfig config_;
   std::size_t threads_;
-  /// Whether the backend runs diffusions off the host (farm/device) — the
-  /// signal the backend-aware prefetch throttle keys on.
-  bool backend_offloads_ = false;
 
   /// Exactly one of these is used: the shared thread-safe backend, or one
   /// clone per worker.
   DiffusionBackend* shared_backend_ = nullptr;
   std::vector<std::unique_ptr<DiffusionBackend>> clones_;
 
-  /// Held by query_stream for its whole body: one batch owns the workers,
-  /// the prefetcher and the aggregators at a time.
+  /// Held by query_stream for its whole body: one batch owns the workers
+  /// and the aggregators at a time.
   util::Mutex batch_mu_;
-  std::unique_ptr<BallPrefetcher> prefetcher_;
   /// One serial aggregator per worker, built eagerly and cleared before
   /// each reduction so its storage stays warm across queries. Only worker
   /// w touches aggregators_[w].

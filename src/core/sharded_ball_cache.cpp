@@ -161,26 +161,17 @@ ShardedBallCache::ShardedBallCache(const graph::Graph& g,
   }
 }
 
-void ShardedBallCache::count_hit(FetchKind kind, bool deduped) {
-  if (kind == FetchKind::kPrefetch) {
-    prefetch_hits_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
+void ShardedBallCache::count_hit(bool deduped) {
   hits_.fetch_add(1, std::memory_order_relaxed);
   if (deduped) dedup_hits_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void ShardedBallCache::count_miss(FetchKind kind) {
-  if (kind == FetchKind::kPrefetch) {
-    prefetch_misses_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-  }
+void ShardedBallCache::count_miss() {
+  misses_.fetch_add(1, std::memory_order_relaxed);
 }
 
 ShardedBallCache::Fetch ShardedBallCache::fetch(graph::NodeId root,
                                                 unsigned radius,
-                                                FetchKind kind,
                                                 std::uint64_t min_version) {
   const BallKey key{root, radius};
   Shard& shard = shard_for(key);
@@ -193,25 +184,17 @@ ShardedBallCache::Fetch ShardedBallCache::fetch(graph::NodeId root,
   std::promise<Extracted> promise;
   {
     util::MutexLock lock(shard.mu);
-    // Every access (hit, miss, prefetch) feeds the frequency estimate —
-    // admission later compares these counts, so prefetch traffic for a
-    // seed about to be queried legitimately raises its standing.
+    // Every access (hit or miss) feeds the frequency estimate that
+    // admission later compares.
     if (shard.sketch != nullptr) shard.sketch->record(splitmix64(key.packed()));
     if (const auto it = shard.map.find(key); it != shard.map.end()) {
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);  // → MRU
-      count_hit(kind, /*deduped=*/false);
+      count_hit(/*deduped=*/false);
       return {it->second->ball, /*hit=*/true, /*deduped=*/false, 0.0,
               it->second->version};
     }
     if (const auto it = shard.in_flight.find(key);
         it != shard.in_flight.end()) {
-      if (kind == FetchKind::kPrefetch) {
-        // The ball is already on its way into the cache; parking a
-        // prefetch thread on someone else's BFS would serialize the whole
-        // lookahead pipeline for zero work. Report a (ball-less) hit.
-        count_hit(kind, /*deduped=*/true);
-        return {nullptr, /*hit=*/true, /*deduped=*/true, 0.0};
-      }
       // Another thread is extracting this very ball; wait for its result
       // outside the lock instead of duplicating the BFS.
       std::shared_future<Extracted> pending = it->second;
@@ -223,7 +206,7 @@ ShardedBallCache::Fetch ShardedBallCache::fetch(graph::NodeId root,
         // The access still happened: count it before surfacing the
         // extractor's failure, or hit/miss totals silently drift under
         // failures (a miss, not a hit — nothing was served).
-        count_miss(kind);
+        count_miss();
         throw;
       }
       if (dynamic_ != nullptr && extracted.version < min_version &&
@@ -235,7 +218,7 @@ ShardedBallCache::Fetch ShardedBallCache::fetch(graph::NodeId root,
         stale_rejects_.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
-      count_hit(kind, /*deduped=*/true);
+      count_hit(/*deduped=*/true);
       return {std::move(extracted.ball), /*hit=*/true, /*deduped=*/true, 0.0,
               extracted.version};
     }
@@ -259,19 +242,22 @@ ShardedBallCache::Fetch ShardedBallCache::fetch(graph::NodeId root,
                      : graph::extract_ball(*graph_, root, radius));
     }
   } catch (...) {
-    // Unblock any waiters with the same failure, then unclaim the key.
+    // Unclaim the key, then unblock the waiters with the same failure. In
+    // the other order a woken waiter's retry could find the failed future
+    // still claimed and join it again, burning its whole retry budget on
+    // one failed extraction.
     extraction_failures_.fetch_add(1, std::memory_order_relaxed);
-    promise.set_exception(std::current_exception());
     {
       util::MutexLock lock(shard.mu);
       shard.in_flight.erase(key);
     }
-    count_miss(kind);  // the access happened; keep the totals honest
+    promise.set_exception(std::current_exception());
+    count_miss();  // the access happened; keep the totals honest
     throw;
   }
   const double extract_seconds = timer.elapsed_seconds();
   promise.set_value({ball, ball_version});
-  count_miss(kind);
+  count_miss();
 
   // Freshness probe BEFORE taking the shard lock (lock order is graph →
   // shard, never the reverse): has any update touched this ball since its
@@ -427,8 +413,6 @@ ShardedBallCache::Stats ShardedBallCache::stats() const {
   s.hits = hits_.load(std::memory_order_relaxed);
   s.misses = misses_.load(std::memory_order_relaxed);
   s.dedup_hits = dedup_hits_.load(std::memory_order_relaxed);
-  s.prefetch_hits = prefetch_hits_.load(std::memory_order_relaxed);
-  s.prefetch_misses = prefetch_misses_.load(std::memory_order_relaxed);
   s.evictions = evictions_.load(std::memory_order_relaxed);
   s.admission_rejects = admission_rejects_.load(std::memory_order_relaxed);
   s.extraction_failures =
@@ -490,8 +474,6 @@ void ShardedBallCache::clear() {
   hits_.store(0);
   misses_.store(0);
   dedup_hits_.store(0);
-  prefetch_hits_.store(0);
-  prefetch_misses_.store(0);
   evictions_.store(0);
   admission_rejects_.store(0);
   extraction_failures_.store(0);

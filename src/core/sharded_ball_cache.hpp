@@ -7,9 +7,9 @@
 // stage-2 balls — popular nodes are selected as next-stage nodes by many
 // different seeds — so caching extracted balls converts BFS time into
 // memory, a second instance of the paper's central memory↔latency trade.
-// The serial engine, the pipeline's workers and the stage-lookahead
-// prefetcher all extract balls through one shared cache, so popular-seed
-// locality is exploited across the whole worker pool. Design:
+// The serial engine and the pipeline's workers all extract balls through
+// one shared cache, so popular-seed locality is exploited across the whole
+// worker pool. Design:
 //
 //   * Sharding. Keys are distributed over N independent shards by the high
 //     bits of the splitmix64-mixed key (the map inside a shard consumes the
@@ -27,11 +27,6 @@
 //     runs the BFS; the second waits on the future instead of extracting
 //     the same ball twice. Counted as dedup_hits — BFS work avoided, not
 //     merely bytes served.
-//
-//   * Prefetch accounting. The prefetcher's fetches pass kPrefetch so they
-//     do not pollute the demand hit rate: a prefetched ball that a query
-//     later reads is a demand hit (the entire point); the prefetch fetch
-//     itself is tallied under prefetch_hits/prefetch_misses.
 //
 //   * Frequency-aware admission (CacheAdmission::kTinyLFU). Each shard
 //     carries a 4-bit count-min sketch of ball access frequency (every
@@ -127,21 +122,11 @@ class ShardedBallCache {
       std::function<graph::Subgraph(const graph::Graph&, graph::NodeId,
                                     unsigned)>;
 
-  /// Who is asking — demand fetches feed hit_rate(); prefetch fetches are
-  /// tallied separately so lookahead traffic cannot inflate it.
-  enum class FetchKind {
-    kDemand,
-    kPrefetch,  ///< stage lookahead
-  };
-
   /// What one fetch() did, for per-task attribution.
   struct Fetch {
-    /// The ball — always set for demand fetches. A prefetch-kind fetch
-    /// that finds the key already being extracted returns hit=true with a
-    /// null ball instead of parking on the other thread's BFS.
-    BallPtr ball;
+    BallPtr ball;  ///< always set
     bool hit = false;      ///< served without running a BFS on this thread
-    bool deduped = false;  ///< joined/observed another thread's extraction
+    bool deduped = false;  ///< joined another thread's extraction
     double extract_seconds = 0.0;  ///< BFS time paid by THIS call (0 on hit)
     /// Graph version the ball was extracted at (dynamic mode; 0 static).
     /// Resident balls are additionally current: they reflect every update
@@ -172,7 +157,6 @@ class ShardedBallCache {
   /// the caller's admission can fail it, in which case the fetch
   /// re-extracts at the current version instead.
   Fetch fetch(graph::NodeId root, unsigned radius,
-              FetchKind kind = FetchKind::kDemand,
               std::uint64_t min_version = 0);
 
   /// Routes miss-path extraction through `dyn` (delta-aware, version
@@ -227,8 +211,6 @@ class ShardedBallCache {
     std::size_t hits = 0;
     std::size_t misses = 0;
     std::size_t dedup_hits = 0;
-    std::size_t prefetch_hits = 0;
-    std::size_t prefetch_misses = 0;
     std::size_t evictions = 0;          ///< residents displaced for room
     std::size_t admission_rejects = 0;  ///< TinyLFU: served, not retained
     /// Extractions that threw (flaky extractor / storage fault). Each one
@@ -244,7 +226,6 @@ class ShardedBallCache {
     /// Live reverse-index (vertex, BallKey) pairs — a gauge, not a
     /// counter: Σ over resident balls of their node count.
     std::size_t reverse_index_entries = 0;
-    /// Demand hit rate (prefetch traffic excluded).
     [[nodiscard]] double hit_rate() const {
       const std::size_t total = hits + misses;
       return total == 0 ? 0.0
@@ -258,15 +239,9 @@ class ShardedBallCache {
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] std::size_t hits() const { return hits_.load(); }
   [[nodiscard]] std::size_t misses() const { return misses_.load(); }
-  /// Demand fetches that piggybacked on another thread's in-flight
+  /// Fetches that piggybacked on another thread's in-flight
   /// extraction (already included in hits()).
   [[nodiscard]] std::size_t dedup_hits() const { return dedup_hits_.load(); }
-  [[nodiscard]] std::size_t prefetch_hits() const {
-    return prefetch_hits_.load();
-  }
-  [[nodiscard]] std::size_t prefetch_misses() const {
-    return prefetch_misses_.load();
-  }
   /// Entries evicted to make room (both admission modes).
   [[nodiscard]] std::size_t evictions() const { return evictions_.load(); }
   /// Balls served but not retained because a resident victim was estimated
@@ -275,7 +250,7 @@ class ShardedBallCache {
     return admission_rejects_.load();
   }
   [[nodiscard]] CacheAdmission admission() const { return admission_; }
-  /// Demand hit rate (prefetch traffic excluded); stats().hit_rate().
+  /// stats().hit_rate().
   [[nodiscard]] double hit_rate() const { return stats().hit_rate(); }
 
   /// Extractions that threw (see Stats::extraction_failures).
@@ -404,8 +379,8 @@ class ShardedBallCache {
     return *shards_[(splitmix64(key.packed()) >> 40) % shards_.size()];
   }
 
-  void count_hit(FetchKind kind, bool deduped);
-  void count_miss(FetchKind kind);
+  void count_hit(bool deduped);
+  void count_miss();
 
   /// Must hold `shard.mu`. kAlways eviction: walks the LRU tail in place
   /// (allocation-free — this is the hot insert path) until `incoming`
@@ -463,8 +438,6 @@ class ShardedBallCache {
   std::atomic<std::size_t> hits_{0};
   std::atomic<std::size_t> misses_{0};
   std::atomic<std::size_t> dedup_hits_{0};
-  std::atomic<std::size_t> prefetch_hits_{0};
-  std::atomic<std::size_t> prefetch_misses_{0};
   std::atomic<std::size_t> evictions_{0};
   std::atomic<std::size_t> admission_rejects_{0};
   std::atomic<std::size_t> extraction_failures_{0};

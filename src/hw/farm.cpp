@@ -129,10 +129,8 @@ core::BackendResult FpgaFarm::run(const graph::Subgraph& ball, double mass,
                                   unsigned length) {
   // The active-dispatch gauge counts this thread for the whole call —
   // waiting for a device is as strong an "offload in progress" signal as
-  // running one, and it is exactly the window the prefetch meter wants to
-  // fill with lookahead BFS. RAII so a throwing diffusion (MELO_CHECK on
-  // bad inputs, allocation failure) cannot leave the gauge inflated and
-  // silently pin the prefetch meter open.
+  // running one. RAII so a throwing diffusion (MELO_CHECK on bad inputs,
+  // allocation failure) cannot leave the gauge inflated.
   struct DispatchGauge {
     std::atomic<std::size_t>& gauge;
     explicit DispatchGauge(std::atomic<std::size_t>& g) : gauge(g) {

@@ -118,12 +118,10 @@ class FpgaFarm final : public core::DiffusionBackend {
   [[nodiscard]] std::size_t max_concurrent_runs() const override {
     return devices_.size();
   }
-  /// Dispatchers block on busy devices — the window the stage-lookahead
-  /// prefetcher fills with host BFS (the backend-aware throttle's signal).
+  /// Dispatchers block on busy devices while diffusions run off-host.
   [[nodiscard]] bool offloads_compute() const override { return true; }
   /// Live count of threads inside run() (running a device or blocked on
-  /// checkout). 0 means the farm is momentarily idle — the signal the
-  /// pipeline's farm-wait prefetch meter pauses lookahead on. Lock-free.
+  /// checkout). 0 means the farm is momentarily idle. Lock-free.
   [[nodiscard]] std::size_t active_dispatches() const override {
     return active_dispatches_.load(std::memory_order_relaxed);
   }
@@ -152,8 +150,8 @@ class FpgaFarm final : public core::DiffusionBackend {
   [[nodiscard]] std::size_t runs() const;
 
   /// Cumulative wall seconds dispatching threads spent blocked waiting for
-  /// a free device. Large values with idle prefetch threads mean host BFS
-  /// could hide here — the signal the stage-lookahead prefetcher exploits.
+  /// a free device — device-side time that host BFS could in principle
+  /// hide behind (compare QueryStats::modeled_overlap_seconds()).
   [[nodiscard]] double dispatch_wait_seconds() const;
 
   /// Most devices ever busy simultaneously (≤ device_count). Shows whether

@@ -35,7 +35,7 @@ class FpgaBackend final : public core::DiffusionBackend {
   [[nodiscard]] std::unique_ptr<core::DiffusionBackend> clone() const override;
 
   /// Diffusion runs on the (simulated) PL, not host cores: the host only
-  /// waits, which is exactly when lookahead BFS is free.
+  /// waits.
   [[nodiscard]] bool offloads_compute() const override { return true; }
 
   /// Cumulative cycle breakdown since construction / reset_counters().
@@ -47,8 +47,8 @@ class FpgaBackend final : public core::DiffusionBackend {
   /// Simulated busy time of this device since construction / reset: total
   /// cycles at the configured clock. The per-device term of a farm's
   /// serial_seconds(), exposed here so single-device deployments can put
-  /// host-side BFS seconds and device seconds on one axis (the overlap the
-  /// serving layer's prefetcher hides).
+  /// host-side BFS seconds and device seconds on one axis (the Fig. 4
+  /// overlap QueryStats::modeled_overlap_seconds() models).
   [[nodiscard]] double busy_seconds() const {
     return accel_.seconds(total_.total());
   }

@@ -23,10 +23,17 @@ std::vector<ScoredNode> top_k(std::vector<ScoredNode> scores, std::size_t k) {
     std::nth_element(scores.begin(),
                      scores.begin() + static_cast<std::ptrdiff_t>(k),
                      scores.end(), better);
-    scores.resize(k);
   }
-  std::sort(scores.begin(), scores.end(), better);
-  return scores;
+  const auto end =
+      scores.begin() + static_cast<std::ptrdiff_t>(std::min(k, scores.size()));
+  std::sort(scores.begin(), end, better);
+  // resize() would keep the candidates' whole buffer alive in every
+  // retained result; copy the winners out instead so capacity() <= k.
+  if (scores.capacity() <= k) {
+    scores.erase(end, scores.end());
+    return scores;
+  }
+  return {scores.begin(), end};
 }
 
 std::vector<ScoredNode> top_k(const ScoreMap& scores, std::size_t k) {

@@ -14,6 +14,8 @@ namespace meloppr::ppr {
 
 /// Returns the k highest-scored nodes in descending score order (ties by
 /// ascending id). If fewer than k nodes are present, returns all of them.
+/// The result's capacity() never exceeds k, so a retained top-k list does
+/// not pin the candidate vector's buffer.
 std::vector<ScoredNode> top_k(std::vector<ScoredNode> scores, std::size_t k);
 
 /// Convenience overload for a sparse map.

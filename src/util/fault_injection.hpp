@@ -149,7 +149,7 @@ class FaultyBackend final : public DiffusionBackend {
 /// seed), else delegates to graph::extract_ball. Plugs into
 /// ShardedBallCache::set_extractor and the engine's extraction-retry path.
 /// The returned closure owns its RNG behind a mutex, so it is safe to call
-/// from multiple threads (prefetch workers).
+/// from multiple threads (pipeline workers).
 [[nodiscard]] std::function<graph::Subgraph(const graph::Graph&,
                                             graph::NodeId, unsigned)>
 make_flaky_extractor(const FaultPlan& plan, std::uint64_t tag = 0);

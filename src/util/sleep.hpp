@@ -1,11 +1,10 @@
 // The one permitted real-sleep site in src/.
 //
 // The clock-free-test discipline (PRs 5/7) bans sleeps from production
-// code: polling loops must be event-driven (condition variables, the
-// prefetcher's pause gate) and tests must never depend on wall time. The
-// three legitimate exceptions — injected latency spikes (FaultPlan), the
-// farm's jittered retry backoff, and the prefetcher's bounded pause-gate
-// poll — all route through this header, and
+// code: polling loops must be event-driven (condition variables) and
+// tests must never depend on wall time. The two legitimate exceptions —
+// injected latency spikes (FaultPlan) and the farm's jittered retry
+// backoff — both route through this header, and
 // tools/check_source_invariants.sh rejects any other `sleep_for` token in
 // src/. A new caller showing up here is a review event, not an accident.
 #pragma once

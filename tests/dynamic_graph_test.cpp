@@ -395,9 +395,7 @@ TEST(DynamicGraph, InvalidationIsSurgical) {
   }
   const auto pre_hits = cache.stats();
   for (const core::BallKey& key : survivors) {
-    const auto f = cache.fetch(key.root, key.radius,
-                               ShardedBallCache::FetchKind::kDemand,
-                               dyn.version());
+    const auto f = cache.fetch(key.root, key.radius, dyn.version());
     EXPECT_TRUE(f.hit) << "untouched ball must survive the update";
   }
   const auto post_hits = cache.stats();
@@ -442,8 +440,7 @@ TEST(DynamicGraph, ClearResetsDynamicCountersAndIndex) {
   // The cache must keep working (and re-indexing) after the reset.
   NodeId r = 0;
   while (base.degree(r) == 0) ++r;
-  (void)cache.fetch(r, 2, ShardedBallCache::FetchKind::kDemand,
-                    dyn.version());
+  (void)cache.fetch(r, 2, dyn.version());
   EXPECT_GT(cache.reverse_index_entries(), 0u);
 }
 

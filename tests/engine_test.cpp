@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "graph/generators.hpp"
@@ -185,6 +186,35 @@ TEST(Engine, StatsDescribeTheRecursion) {
   EXPECT_GE(r.stats.bfs_fraction(), 0.0);
   EXPECT_LE(r.stats.bfs_fraction(), 1.0);
   EXPECT_EQ(r.stats.total_balls(), 6u);
+}
+
+TEST(QueryStats, ModeledOverlapTakesThePerStageMax) {
+  // Fig. 4 model: each stage costs max(BFS, device), so one BFS-bound and
+  // one device-bound stage sum to their two maxima.
+  QueryStats stats;
+  stats.stages.resize(2);
+  stats.stages[0].bfs_seconds = 4.0;
+  stats.stages[0].compute_seconds = 1.0;
+  stats.stages[0].transfer_seconds = 0.5;
+  stats.stages[1].bfs_seconds = 1.0;
+  stats.stages[1].compute_seconds = 2.0;
+  stats.stages[1].transfer_seconds = 1.0;
+  const double overlap = stats.modeled_overlap_seconds();
+  EXPECT_DOUBLE_EQ(overlap, 4.0 + 3.0);
+
+  const double bfs = stats.bfs_seconds();
+  const double device = stats.compute_seconds() + stats.transfer_seconds();
+  EXPECT_GE(overlap, std::max(bfs, device));
+  EXPECT_LE(overlap, bfs + device);
+
+  // Degenerate shapes hit the bounds exactly: all-BFS is serial, and a
+  // query with no stages costs nothing.
+  QueryStats host_only;
+  host_only.stages.resize(2);
+  host_only.stages[0].bfs_seconds = 1.5;
+  host_only.stages[1].bfs_seconds = 2.5;
+  EXPECT_DOUBLE_EQ(host_only.modeled_overlap_seconds(), 4.0);
+  EXPECT_DOUBLE_EQ(QueryStats{}.modeled_overlap_seconds(), 0.0);
 }
 
 TEST(Engine, PeakMemoryIsOneBallAtATime) {

@@ -37,9 +37,8 @@ TEST(FpgaFarm, NameAndCounts) {
 }
 
 TEST(FpgaFarm, ActiveDispatchGaugeIdlesAtRestAndAfterRuns) {
-  // The farm-wait prefetch meter keys on this gauge: 0 exactly when no
-  // caller is inside run(). A generic backend without a live signal
-  // reports "unknown" (max), which the meter treats as never-pause.
+  // The occupancy gauge reads 0 exactly when no caller is inside run().
+  // A generic backend without a live signal reports "unknown" (max).
   Rng rng(75);
   Graph g = graph::barabasi_albert(300, 2, 2, rng);
   FpgaFarm farm = make_farm(2);

@@ -595,9 +595,87 @@ TEST(FaultTolerantBatch, InvariantViolationsStillAbortTheBatch) {
   EXPECT_THROW(engine.query(5'000'000, farm, table), std::invalid_argument);
 }
 
+TEST(FaultTolerantBatch, WorkersRetryAndCountDemandExtractorFaults) {
+  // Every ball is a demand fetch on the worker that needs it, so extractor
+  // faults surface on the workers themselves: they must be retried within
+  // the engine's budget, counted per query, never kill a worker, and never
+  // change a surviving query's scores.
+  Rng rng(test::test_seed());
+  const Graph g = graph::barabasi_albert(600, 2, 2, rng);
+  MelopprConfig cfg = fx_config();
+  cfg.extraction_attempts = 8;
+  Engine engine(g, cfg);
+  std::vector<graph::NodeId> seeds;
+  for (graph::NodeId s = 0; s < 12; ++s) seeds.push_back((s * 47 + 3) % 600);
+  std::vector<QueryResult> want;
+  for (const graph::NodeId s : seeds) want.push_back(engine.query(s));
+
+  const std::unique_ptr<core::DiffusionBackend> backend =
+      core::make_cpu_backend(g, cfg);
+  PipelineConfig pcfg;
+  pcfg.threads = 4;
+  QueryPipeline pipeline(engine, *backend, pcfg);
+  const auto sum_faults = [](const std::vector<QueryResult>& results) {
+    std::size_t faults = 0;
+    for (const QueryResult& r : results) faults += r.stats.extraction_faults();
+    return faults;
+  };
+  const auto expect_want = [&](const std::vector<QueryResult>& got) {
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got[i].top.size(), want[i].top.size()) << "seed " << i;
+      for (std::size_t r = 0; r < want[i].top.size(); ++r) {
+        EXPECT_EQ(got[i].top[r].node, want[i].top[r].node) << "seed " << i;
+        EXPECT_EQ(got[i].top[r].score, want[i].top[r].score) << "seed " << i;
+      }
+    }
+  };
+
+  // Flaky: p(8 consecutive faults) = 0.2^8 per ball, so the budget absorbs
+  // the flakiness. Each failed extraction fails its claimer and every
+  // joiner, and each of them counts one fault, so the per-query sum is at
+  // least the cache's count of failed extractions.
+  {
+    FaultPlan plan = FaultPlan::parse("extractor=0.2");
+    plan.seed = test::test_seed();
+    ShardedBallCache cache(g, 64u << 20);
+    cache.set_extractor(make_flaky_extractor(plan));
+    engine.set_shared_ball_cache(&cache);
+    QueryPipeline::BatchStats batch;
+    std::vector<QueryResult> got;
+    ASSERT_NO_THROW(got = pipeline.query_batch(seeds, &batch));
+    engine.set_shared_ball_cache(nullptr);
+    EXPECT_EQ(batch.failed_queries, 0u);
+    EXPECT_GT(batch.degraded_queries, 0u);
+    EXPECT_GT(cache.extraction_failures(), 0u);
+    EXPECT_GE(sum_faults(got), cache.extraction_failures());
+    expect_want(got);
+  }
+
+  // Dead: every root ball fails exactly its budget, the batch still
+  // completes, and the same workers serve the next batch once healed.
+  {
+    ShardedBallCache cache(g, 64u << 20);
+    cache.set_extractor(make_flaky_extractor(FaultPlan::parse("extractor=1")));
+    engine.set_shared_ball_cache(&cache);
+    QueryPipeline::BatchStats batch;
+    std::vector<QueryResult> got;
+    ASSERT_NO_THROW(got = pipeline.query_batch(seeds, &batch));
+    EXPECT_EQ(batch.failed_queries, seeds.size());
+    EXPECT_EQ(sum_faults(got), seeds.size() * cfg.extraction_attempts);
+
+    cache.set_extractor({});  // no fetch in flight between batches
+    ASSERT_NO_THROW(got = pipeline.query_batch(seeds, &batch));
+    engine.set_shared_ball_cache(nullptr);
+    EXPECT_EQ(batch.failed_queries, 0u);
+    EXPECT_EQ(sum_faults(got), 0u);
+    expect_want(got);
+  }
+}
+
 // ---------------------------------------------------------------------------
-// Concurrent fault hammer (the TSan target): stealing batch + prefetch +
-// faulty farm + flaky extractor, all at once.
+// Concurrent fault hammer (the TSan target): stealing batch + faulty farm
+// + flaky extractor, all at once.
 // ---------------------------------------------------------------------------
 
 TEST(FaultTolerantBatch, ConcurrentFaultHammer) {
@@ -637,7 +715,6 @@ TEST(FaultTolerantBatch, ConcurrentFaultHammer) {
 
   PipelineConfig pcfg;
   pcfg.threads = 4;
-  pcfg.prefetch = true;
   QueryPipeline pipeline(engine, failover, pcfg);
   QueryPipeline::BatchStats batch;
   std::vector<QueryResult> got;

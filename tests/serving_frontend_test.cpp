@@ -145,8 +145,8 @@ TEST(QueryStream, ResponseTimesMonotoneOnOneWorker) {
 
 TEST(QueryStream, BatchWallExcludesActivationAndPercentilesCohere) {
   // Two equal batches back to back: the second must not be charged for
-  // one-time setup the first already paid (wall starts after
-  // activate_lookahead), so equal work stays within a generous factor.
+  // one-time setup the first already paid, so equal work stays within a
+  // generous factor.
   const Graph& g = test_graph();
   Engine engine(g, small_config());
   CpuBackend backend(0.85);

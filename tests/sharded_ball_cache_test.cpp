@@ -173,22 +173,6 @@ TEST(ShardedBallCache, EvictedBallStaysPinnedForReaders) {
   EXPECT_LE(cache.bytes(), cache.byte_budget());
 }
 
-TEST(ShardedBallCache, PrefetchTrafficDoesNotPolluteDemandHitRate) {
-  Graph g = graph::fixtures::cycle(100);
-  ShardedBallCache cache(g, 1 << 20, 4);
-  cache.fetch(3, 2, ShardedBallCache::FetchKind::kPrefetch);
-  cache.fetch(3, 2, ShardedBallCache::FetchKind::kPrefetch);
-  EXPECT_EQ(cache.prefetch_misses(), 1u);
-  EXPECT_EQ(cache.prefetch_hits(), 1u);
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.misses(), 0u);
-  EXPECT_DOUBLE_EQ(cache.hit_rate(), 0.0);
-  // The demand fetch of a prefetched ball is a demand hit — the point.
-  const auto f = cache.fetch(3, 2);
-  EXPECT_TRUE(f.hit);
-  EXPECT_EQ(cache.hits(), 1u);
-}
-
 TEST(ShardedBallCache, ConcurrentSameKeyExtractsOnce) {
   Rng rng(71);
   Graph g = graph::barabasi_albert(2000, 2, 2, rng);
@@ -249,11 +233,10 @@ TEST(ShardedBallCache, ClearResetsEverything) {
   ShardedBallCache cache(g, 1 << 20, 4);
   cache.get(1, 2);
   cache.get(1, 2);
-  cache.fetch(2, 2, ShardedBallCache::FetchKind::kPrefetch);
+  cache.get(2, 2);
   cache.clear();
   EXPECT_EQ(cache.hits(), 0u);
   EXPECT_EQ(cache.misses(), 0u);
-  EXPECT_EQ(cache.prefetch_misses(), 0u);
   EXPECT_EQ(cache.entries(), 0u);
   EXPECT_EQ(cache.bytes(), 0u);
   EXPECT_DOUBLE_EQ(cache.extraction_seconds(), 0.0);
@@ -321,8 +304,7 @@ TEST(ShardedBallCache, FailedExtractionStillCountsTheAccess) {
   // counting, so hit/miss totals silently drifted under failures.
   Graph g = graph::fixtures::cycle(100);
   ShardedBallCache cache(g, 1 << 20, 1);
-  EXPECT_THROW(cache.fetch(999, 2, ShardedBallCache::FetchKind::kDemand),
-               std::invalid_argument);  // root out of range
+  EXPECT_THROW(cache.fetch(999, 2), std::invalid_argument);  // root out of range
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().hits, 0u);
 
@@ -337,8 +319,7 @@ TEST(ShardedBallCache, FailedExtractionStillCountsTheAccess) {
     workers.emplace_back([&] {
       for (std::size_t i = 0; i < kIters; ++i) {
         try {
-          (void)cache.fetch(999, 3,
-                            ShardedBallCache::FetchKind::kDemand);
+          (void)cache.fetch(999, 3);
         } catch (const std::invalid_argument&) {
           failures.fetch_add(1, std::memory_order_relaxed);
         }

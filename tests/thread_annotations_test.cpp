@@ -92,7 +92,7 @@ TEST(MutexLock, TryToLockReportsContention) {
 }
 
 TEST(MutexLock, MidScopeUnlockAndRelock) {
-  // The farm/prefetcher pattern: drop the lock around a slow operation,
+  // The farm's pattern: drop the lock around a slow operation,
   // retake it after. The destructor must cope with every exit state.
   Mutex mu;
   MutexLock lock(mu);

@@ -56,6 +56,28 @@ TEST(TopK, DeterministicUnderPermutation) {
   EXPECT_EQ(ta[1].node, 2u);
 }
 
+TEST(TopK, CapacityNeverExceedsK) {
+  // A retained top-k list must not pin the candidate buffer: results are
+  // kept per query, so a leaked capacity multiplies across every caller.
+  constexpr std::size_t k = 8;
+  std::vector<ScoredNode> many;
+  for (graph::NodeId i = 0; i < 5000; ++i) many.push_back({i, 1.0 / (i + 1)});
+  const auto from_many = top_k(many, k);
+  EXPECT_EQ(from_many.size(), k);
+  EXPECT_LE(from_many.capacity(), k);
+
+  std::vector<ScoredNode> few;
+  few.reserve(1000);  // fewer than k entries, far more than k capacity
+  for (graph::NodeId i = 0; i < 3; ++i) few.push_back({i, 0.5});
+  const auto from_few = top_k(std::move(few), k);
+  EXPECT_EQ(from_few.size(), 3u);
+  EXPECT_LE(from_few.capacity(), k);
+
+  ScoreMap map;
+  for (graph::NodeId i = 0; i < 100; ++i) map[i] = 1.0 / (i + 1);
+  EXPECT_LE(top_k(map, k).capacity(), k);
+}
+
 // --- randomized property tests (seed via --seed / MELOPPR_TEST_SEED) ---
 
 TEST(TopKProperty, AgreesWithFullSortOnRandomInputs) {
