@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -18,10 +19,31 @@ struct BfsStats {
   std::size_t arcs_scanned = 0;  ///< adjacency entries touched by the BFS
 };
 
+/// Where build_ball() reads adjacency from. row(v) is v's sorted,
+/// duplicate-free, self-loop-free neighbor list (global ids); the span only
+/// has to stay valid until the next row() call, so a source may assemble
+/// rows in one scratch buffer.
+class RowSource {
+ public:
+  virtual ~RowSource() = default;
+  [[nodiscard]] virtual std::span<const NodeId> row(NodeId v) = 0;
+};
+
+/// The one ball builder: BFS from `seed` to depth `radius` over `rows`, then
+/// the induced, relabeled CSR of the ball. Local ids follow BFS discovery
+/// order (neighbors visited in row order); each member's row is read
+/// exactly once. Global→local lookups go through a flat open-addressing
+/// index sized from the ball and doubled as it fills, so allocation is
+/// proportional to the ball, never to the full graph — the whole point of
+/// MeLoPPR is that queries must not touch O(|V|) state.
+///
+/// `seed` must be a valid node of the source. Callers validate it (and
+/// reject isolated seeds), since only they know their node range.
+Subgraph build_ball(RowSource& rows, NodeId seed, unsigned radius,
+                    BfsStats* stats = nullptr);
+
 /// Extracts the induced sub-graph of the depth-`radius` BFS ball around
-/// `seed`. Allocation is proportional to the ball (hash-based visited set),
-/// never to the full graph — the whole point of MeLoPPR is that queries must
-/// not touch O(|V|) state.
+/// `seed` (build_ball() over the CSR rows of `g`).
 ///
 /// Throws std::invalid_argument for an out-of-range or isolated seed.
 Subgraph extract_ball(const Graph& g, NodeId seed, unsigned radius,

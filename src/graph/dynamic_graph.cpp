@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "graph/bfs.hpp"
 #include "graph/builder.hpp"
 
 namespace meloppr::graph {
@@ -159,39 +160,54 @@ std::size_t DynamicGraph::degree_locked(NodeId v) const {
   return d;
 }
 
-void DynamicGraph::merged_neighbors_locked(NodeId v,
-                                           std::vector<NodeId>& out) const {
-  out.clear();
-  const std::span<const NodeId> base = base_.neighbors(v);
-  const auto it = deltas_.find(v);
-  if (it == deltas_.end()) {
-    out.assign(base.begin(), base.end());
-    return;
-  }
-  const std::vector<NodeId>& added = it->second.added;
-  const std::vector<NodeId>& removed = it->second.removed;
-  out.reserve(base.size() + added.size());
-  // One sorted pass: base minus removed, merged with added. `removed` is a
-  // subset of base and `added` is disjoint from it, so plain merge keeps
-  // the output sorted and duplicate-free — the GraphBuilder invariant a
-  // from-scratch rebuild would produce, which is what makes incremental
-  // BFS discovery order identical to the rebuilt graph's.
-  std::size_t bi = 0;
-  std::size_t ai = 0;
-  std::size_t ri = 0;
-  while (bi < base.size() || ai < added.size()) {
-    if (bi < base.size() && ri < removed.size() && base[bi] == removed[ri]) {
-      ++bi;
-      ++ri;
-      continue;
+/// Merged adjacency rows for build_ball(): base − removed + added. Rows
+/// without a delta are served straight from the CSR base; the rest are
+/// merged into one scratch buffer, which build_ball() allows because it
+/// reads each row before asking for the next. Built under the caller's
+/// shared lock and used only while it is held.
+class DynamicGraph::MergedRows final : public RowSource {
+ public:
+  MergedRows(const Graph& base,
+             const std::unordered_map<NodeId, VertexDelta>& deltas)
+      : base_(base), deltas_(deltas) {}
+
+  std::span<const NodeId> row(NodeId v) override {
+    const std::span<const NodeId> base = base_.neighbors(v);
+    const auto it = deltas_.find(v);
+    if (it == deltas_.end()) return base;
+    const std::vector<NodeId>& added = it->second.added;
+    const std::vector<NodeId>& removed = it->second.removed;
+    scratch_.clear();
+    scratch_.reserve(base.size() + added.size());
+    // One sorted pass: base minus removed, merged with added. `removed` is
+    // a subset of base and `added` is disjoint from it, so plain merge
+    // keeps the row sorted and duplicate-free — the GraphBuilder invariant
+    // a from-scratch rebuild would produce, which is what makes the BFS
+    // discovery order identical to the rebuilt graph's.
+    std::size_t bi = 0;
+    std::size_t ai = 0;
+    std::size_t ri = 0;
+    while (bi < base.size() || ai < added.size()) {
+      if (bi < base.size() && ri < removed.size() &&
+          base[bi] == removed[ri]) {
+        ++bi;
+        ++ri;
+        continue;
+      }
+      if (ai >= added.size() || (bi < base.size() && base[bi] < added[ai])) {
+        scratch_.push_back(base[bi++]);
+      } else {
+        scratch_.push_back(added[ai++]);
+      }
     }
-    if (ai >= added.size() || (bi < base.size() && base[bi] < added[ai])) {
-      out.push_back(base[bi++]);
-    } else {
-      out.push_back(added[ai++]);
-    }
+    return scratch_;
   }
-}
+
+ private:
+  const Graph& base_;
+  const std::unordered_map<NodeId, VertexDelta>& deltas_;
+  std::vector<NodeId> scratch_;
+};
 
 Subgraph DynamicGraph::extract_ball(NodeId root, unsigned radius,
                                     std::uint64_t* version_out) const {
@@ -207,61 +223,8 @@ Subgraph DynamicGraph::extract_ball(NodeId root, unsigned radius,
     throw std::invalid_argument("DynamicGraph::extract_ball: seed " +
                                 std::to_string(root) + " is isolated");
   }
-
-  // The same BFS as graph::extract_ball, over merged adjacency. Each
-  // member's merged row is computed once and kept — the count and fill
-  // passes below reuse it.
-  std::unordered_map<NodeId, NodeId> global_to_local;
-  std::vector<NodeId> locals;
-  std::vector<std::uint16_t> depth;
-  std::vector<std::vector<NodeId>> rows;  // local -> merged adjacency
-  global_to_local.emplace(root, 0);
-  locals.push_back(root);
-  depth.push_back(0);
-
-  for (std::size_t cursor = 0; cursor < locals.size(); ++cursor) {
-    const std::uint16_t d = depth[cursor];
-    if (d >= radius) continue;
-    rows.resize(locals.size());
-    merged_neighbors_locked(locals[cursor], rows[cursor]);
-    for (NodeId w : rows[cursor]) {
-      if (global_to_local.emplace(w, static_cast<NodeId>(locals.size()))
-              .second) {
-        locals.push_back(w);
-        depth.push_back(static_cast<std::uint16_t>(d + 1));
-      }
-    }
-  }
-  const std::size_t n = locals.size();
-  rows.resize(n);
-  for (NodeId lu = 0; lu < n; ++lu) {
-    // Frontier nodes (depth == radius) were never expanded; fill their rows
-    // now so the induced passes see every member's adjacency.
-    if (rows[lu].empty()) merged_neighbors_locked(locals[lu], rows[lu]);
-  }
-
-  std::vector<std::uint64_t> offsets(n + 1, 0);
-  std::vector<std::uint32_t> global_degree(n);
-  for (NodeId lu = 0; lu < n; ++lu) {
-    global_degree[lu] = static_cast<std::uint32_t>(rows[lu].size());
-    std::uint64_t kept = 0;
-    for (NodeId gw : rows[lu]) {
-      if (global_to_local.count(gw) != 0) ++kept;
-    }
-    offsets[lu + 1] = offsets[lu] + kept;
-  }
-  std::vector<NodeId> targets(offsets[n]);
-  for (NodeId lu = 0; lu < n; ++lu) {
-    std::uint64_t pos = offsets[lu];
-    for (NodeId gw : rows[lu]) {
-      const auto it = global_to_local.find(gw);
-      if (it != global_to_local.end()) targets[pos++] = it->second;
-    }
-    std::sort(targets.begin() + static_cast<std::ptrdiff_t>(offsets[lu]),
-              targets.begin() + static_cast<std::ptrdiff_t>(offsets[lu + 1]));
-  }
-  return Subgraph(std::move(offsets), std::move(targets), std::move(locals),
-                  std::move(global_degree), std::move(depth), radius);
+  MergedRows rows(base_, deltas_);
+  return build_ball(rows, root, radius);
 }
 
 Graph DynamicGraph::materialize() const {

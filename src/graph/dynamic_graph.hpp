@@ -8,9 +8,10 @@
 //
 //   * apply(EdgeUpdate) is O(degree) under a writer lock, not an O(|E|)
 //     CSR rebuild;
-//   * extract_ball() runs the SAME BFS as graph::extract_ball over the
-//     merged adjacency (base − removed + added, kept sorted), so a ball
-//     extracted incrementally is byte-identical to one extracted from a
+//   * extract_ball() is graph::build_ball — the builder behind
+//     graph::extract_ball — fed the merged adjacency (base − removed +
+//     added, kept sorted) as its row source, so a ball extracted
+//     incrementally is byte-identical to one extracted from a
 //     from-scratch rebuild at the same version — the property the
 //     equivalence suite asserts across every generator family;
 //   * a monotonically increasing version() stamps every state: queries
@@ -140,14 +141,13 @@ class DynamicGraph {
     std::vector<NodeId> added;    ///< sorted, disjoint from base adjacency
     std::vector<NodeId> removed;  ///< sorted, subset of base adjacency
   };
+  /// The merged-adjacency RowSource extract_ball() hands to build_ball().
+  class MergedRows;
 
   // The _locked helpers require mu_ held (shared suffices unless noted).
   [[nodiscard]] bool has_edge_locked(NodeId u, NodeId v) const
       MELOPPR_REQUIRES_SHARED(mu_);
   [[nodiscard]] std::size_t degree_locked(NodeId v) const
-      MELOPPR_REQUIRES_SHARED(mu_);
-  /// Merged sorted adjacency of v into `out` (cleared first).
-  void merged_neighbors_locked(NodeId v, std::vector<NodeId>& out) const
       MELOPPR_REQUIRES_SHARED(mu_);
   void compact_locked() MELOPPR_REQUIRES(mu_);
   [[nodiscard]] Graph materialize_locked() const

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
 #include <set>
+#include <vector>
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
@@ -110,6 +113,100 @@ TEST(ExtractBall, StatsReportVisitedWork) {
   Subgraph ball = extract_ball(g, 0, 1, &stats);
   EXPECT_EQ(stats.nodes_visited, 6u);
   EXPECT_EQ(stats.arcs_scanned, 5u);  // only the seed expands at radius 1
+}
+
+/// Independent ball builder: std::map global→local index, neighbors
+/// visited in adjacency order, induced rows collected after the BFS.
+struct ReferenceBall {
+  std::vector<NodeId> local_to_global;
+  std::vector<std::uint16_t> depth;
+  std::vector<std::uint32_t> global_degree;
+  std::vector<std::vector<NodeId>> rows;  ///< sorted local ids
+  BfsStats stats;
+};
+
+ReferenceBall reference_ball(const Graph& g, NodeId seed, unsigned radius) {
+  ReferenceBall ref;
+  std::map<NodeId, NodeId> local_of;
+  local_of.emplace(seed, 0);
+  ref.local_to_global.push_back(seed);
+  ref.depth.push_back(0);
+  for (std::size_t cursor = 0; cursor < ref.local_to_global.size();
+       ++cursor) {
+    if (ref.depth[cursor] >= radius) continue;
+    for (NodeId w : g.neighbors(ref.local_to_global[cursor])) {
+      ++ref.stats.arcs_scanned;
+      const auto next = static_cast<NodeId>(ref.local_to_global.size());
+      if (local_of.emplace(w, next).second) {
+        ref.local_to_global.push_back(w);
+        ref.depth.push_back(static_cast<std::uint16_t>(ref.depth[cursor] + 1));
+      }
+    }
+  }
+  for (const NodeId gu : ref.local_to_global) {
+    ref.global_degree.push_back(static_cast<std::uint32_t>(g.degree(gu)));
+    std::vector<NodeId> row;
+    for (NodeId gw : g.neighbors(gu)) {
+      const auto it = local_of.find(gw);
+      if (it != local_of.end()) row.push_back(it->second);
+    }
+    std::sort(row.begin(), row.end());
+    ref.rows.push_back(std::move(row));
+  }
+  ref.stats.nodes_visited = ref.local_to_global.size();
+  return ref;
+}
+
+/// Compares extract_ball against reference_ball array by array; returns
+/// the ball size so callers can assert coverage.
+std::size_t expect_matches_reference(const Graph& g, NodeId seed,
+                                     unsigned radius) {
+  SCOPED_TRACE(::testing::Message() << "seed " << seed << " radius "
+                                    << radius);
+  const ReferenceBall ref = reference_ball(g, seed, radius);
+  BfsStats stats;
+  const Subgraph ball = extract_ball(g, seed, radius, &stats);
+  EXPECT_EQ(ball.local_to_global(), ref.local_to_global);
+  EXPECT_EQ(stats.nodes_visited, ref.stats.nodes_visited);
+  EXPECT_EQ(stats.arcs_scanned, ref.stats.arcs_scanned);
+  EXPECT_EQ(ball.radius(), radius);
+  if (ball.num_nodes() != ref.local_to_global.size()) return 0;
+  for (NodeId v = 0; v < ball.num_nodes(); ++v) {
+    EXPECT_EQ(ball.depth(v), ref.depth[v]) << "local " << v;
+    EXPECT_EQ(ball.global_degree(v), ref.global_degree[v]) << "local " << v;
+    const auto adj = ball.neighbors(v);
+    EXPECT_EQ(std::vector<NodeId>(adj.begin(), adj.end()), ref.rows[v])
+        << "local " << v;
+  }
+  return ball.num_nodes();
+}
+
+TEST(ExtractBall, MatchesReferenceBuilderBitwise) {
+  Rng rng(21);
+  const Graph er = erdos_renyi(2000, 6000, rng);
+  const Graph ba = barabasi_albert(2000, 1, 3, rng);
+  const Graph path = fixtures::path(50);
+  for (const Graph* g : {&er, &ba, &path}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      const NodeId seed = random_seed_node(*g, rng);
+      for (unsigned radius = 0; radius <= 4; ++radius) {
+        expect_matches_reference(*g, seed, radius);
+      }
+    }
+  }
+
+  // A hub of a large BA graph: its radius-3 ball has more than 10k
+  // members, so the global→local index doubles many times mid-BFS.
+  const Graph big = barabasi_albert(30000, 2, 2, rng);
+  NodeId hub = 0;
+  for (NodeId v = 1; v < big.num_nodes(); ++v) {
+    if (big.degree(v) > big.degree(hub)) hub = v;
+  }
+  std::size_t largest = 0;
+  for (unsigned radius = 0; radius <= 4; ++radius) {
+    largest = std::max(largest, expect_matches_reference(big, hub, radius));
+  }
+  EXPECT_GT(largest, 10000u);
 }
 
 TEST(Subgraph, ToLocalRoundTripAndMisses) {

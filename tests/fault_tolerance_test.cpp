@@ -396,10 +396,17 @@ TEST(FaultTolerantQuery, DegradedQueriesStayBitIdentical) {
   const MelopprConfig cfg = fx_config();
   Engine engine(g, cfg);
 
-  // Reference: the healthy fixed-point host path, serial engine.
+  // Reference: the healthy fixed-point host backend with the same bounded
+  // c·k table the degraded queries use — the table may evict, so an exact
+  // aggregation is not a valid reference.
   const std::vector<graph::NodeId> seeds{3, 99, 250, 421, 777};
+  const std::unique_ptr<core::DiffusionBackend> healthy =
+      core::make_cpu_backend(g, cfg);
   std::vector<QueryResult> want;
-  for (const graph::NodeId s : seeds) want.push_back(engine.query(s));
+  for (const graph::NodeId s : seeds) {
+    core::TopCKAggregator table(cfg.table_capacity());
+    want.push_back(engine.query(s, *healthy, table));
+  }
 
   // Faulty farm (transients + one sticky death) behind a bit-exact host
   // fallback: every query must complete with identical scores.
