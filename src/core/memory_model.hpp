@@ -32,9 +32,9 @@ namespace meloppr::core {
 [[nodiscard]] constexpr std::size_t cpu_ball_bytes(std::size_t ball_nodes,
                                                    std::size_t ball_arcs) {
   // offsets (8B/node) + targets (4B/arc) + local_to_global (4B) +
-  // global_degree (4B) + depth (2B) + membership index (8B) per node.
-  const std::size_t csr = 8 * (ball_nodes + 1) + 4 * ball_arcs +
-                          (4 + 4 + 2 + 8) * ball_nodes;
+  // global_degree (4B) + depth (2B) per node, as Subgraph::bytes() counts.
+  const std::size_t csr =
+      8 * (ball_nodes + 1) + 4 * ball_arcs + (4 + 4 + 2) * ball_nodes;
   const std::size_t vectors = 3 * 8 * ball_nodes;
   return csr + vectors;
 }

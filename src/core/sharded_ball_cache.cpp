@@ -317,9 +317,9 @@ void ShardedBallCache::evict_lru_until_fits(Shard& shard,
   }
 }
 
-std::vector<std::list<ShardedBallCache::Entry>::iterator>
-ShardedBallCache::plan_evictions(Shard& shard, std::size_t incoming) const {
-  std::vector<std::list<Entry>::iterator> victims;
+bool ShardedBallCache::plan_evictions(
+    Shard& shard, std::size_t incoming, std::uint32_t candidate,
+    std::vector<std::list<Entry>::iterator>& victims) const {
   std::size_t reclaimed = 0;
   const auto need_more = [&] {
     return shard.bytes - reclaimed + incoming > shard_budget_;
@@ -352,6 +352,7 @@ ShardedBallCache::plan_evictions(Shard& shard, std::size_t incoming) const {
     for (std::size_t i = 1; i < window_size; ++i) {
       if (window[i].second < window[pick].second) pick = i;
     }
+    if (window[pick].second >= candidate) return false;
     reclaimed += window[pick].first->ball_bytes;
     victims.push_back(window[pick].first);
     // Compact in place (order carries the LRU tie-break; < window moves).
@@ -360,7 +361,7 @@ ShardedBallCache::plan_evictions(Shard& shard, std::size_t incoming) const {
     }
     --window_size;
   }
-  return victims;
+  return true;
 }
 
 void ShardedBallCache::evict(
@@ -382,25 +383,20 @@ bool ShardedBallCache::admit(Shard& shard, const BallKey& key,
     MELO_CHECK(shard.bytes + incoming <= shard_budget_);
     return true;
   }
-  // kTinyLFU — plan first, mutate last: the duel below runs against
-  // exactly the victims sketch-informed eviction would take, so admission
-  // and eviction can never disagree about who goes — and a lost duel
-  // costs nothing, the shard is left exactly as it was.
-  const std::vector<std::list<Entry>::iterator> victims =
-      plan_evictions(shard, incoming);
-  if (!victims.empty()) {
-    // TinyLFU gate: the candidate must be estimated strictly hotter than
-    // every victim it displaces (ties keep the residents — one-shot scan
-    // keys all estimate ~1 and can never displace a ball that has been
-    // hit repeatedly).
-    const std::uint32_t candidate =
-        shard.sketch->estimate(splitmix64(key.packed()));
-    for (const auto& it : victims) {
-      if (shard.sketch->estimate(splitmix64(it->key.packed())) >= candidate) {
-        admission_rejects_.fetch_add(1, std::memory_order_relaxed);
-        return false;
-      }
-    }
+  // kTinyLFU — plan first, mutate last: the duel runs against exactly the
+  // victims sketch-informed eviction would take, so admission and eviction
+  // can never disagree about who goes — and a lost duel costs nothing, the
+  // shard is left exactly as it was. TinyLFU gate: the candidate must be
+  // estimated strictly hotter than every victim it displaces (ties keep
+  // the residents — one-shot scan keys all estimate ~1 and can never
+  // displace a ball that has been hit repeatedly). The plan stops at the
+  // first victim that wins the duel, before it is even recorded.
+  const std::uint32_t candidate =
+      shard.sketch->estimate(splitmix64(key.packed()));
+  std::vector<std::list<Entry>::iterator> victims;
+  if (!plan_evictions(shard, incoming, candidate, victims)) {
+    admission_rejects_.fetch_add(1, std::memory_order_relaxed);
+    return false;
   }
   evict(shard, victims);
   MELO_CHECK(shard.bytes + incoming <= shard_budget_);

@@ -389,13 +389,18 @@ class ShardedBallCache {
       MELOPPR_REQUIRES(shard.mu);
 
   /// Must hold `shard.mu`; kTinyLFU only (`shard.sketch != nullptr`).
-  /// Selects the victims (in eviction order) that would make room for
-  /// `incoming` bytes, without mutating the shard: coldest-by-sketch
-  /// within the adaptive tail window (eviction_scan_window of the shard's
-  /// residents), each entry estimated once as it enters the window (ties
-  /// keep the least-recently-used). Stops once enough bytes are covered.
-  [[nodiscard]] std::vector<std::list<Entry>::iterator> plan_evictions(
-      Shard& shard, std::size_t incoming) const MELOPPR_REQUIRES(shard.mu);
+  /// Appends to `victims` (in eviction order) the entries that would make
+  /// room for `incoming` bytes, without mutating the shard: coldest-by-
+  /// sketch within the adaptive tail window (eviction_scan_window of the
+  /// shard's residents), each entry estimated once as it enters the window
+  /// (ties keep the least-recently-used). Stops once enough bytes are
+  /// covered and returns true — or, at the first planned victim estimated
+  /// at least as hot as `candidate`, stops and returns false: the TinyLFU
+  /// duel is lost, so the rest of the plan would be thrown away.
+  [[nodiscard]] bool plan_evictions(
+      Shard& shard, std::size_t incoming, std::uint32_t candidate,
+      std::vector<std::list<Entry>::iterator>& victims) const
+      MELOPPR_REQUIRES(shard.mu);
 
   /// Must hold `shard.mu`. Erases the planned victims and updates the
   /// byte accounting.

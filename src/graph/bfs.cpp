@@ -15,13 +15,25 @@ namespace {
 /// Global→local map of one ball: a power-of-two slot array with linear
 /// probing, kInvalidNode marking an empty slot. The capacity doubles
 /// whenever an insert would push the load past 1/2, so the table stays
-/// proportional to the ball.
+/// proportional to the ball. One table serves every ball its thread
+/// builds: prepare() blanks only the slots the previous ball used.
 class BallIndex {
  public:
-  explicit BallIndex(std::size_t expected) {
-    std::size_t capacity = kMinCapacity;
-    while (capacity < 2 * expected) capacity *= 2;
-    reset(capacity);
+  /// Empties the table for a ball of at least `expected` members. The slot
+  /// array is kept unless it is too small for `expected` or more than
+  /// kMaxSlack times what both this and the previous ball need (a hub ball
+  /// must not leave every later small ball probing a huge, cold table).
+  void prepare(std::size_t expected) {
+    const std::size_t target =
+        std::max(capacity_for(expected), capacity_for(size_));
+    if (slots_.size() < target || slots_.size() > kMaxSlack * target) {
+      slots_ = std::vector<Slot>(target, Slot{kInvalidNode, kInvalidNode});
+      set_geometry(target);
+    } else {
+      for (const std::size_t slot : used_) slots_[slot].global = kInvalidNode;
+    }
+    used_.clear();
+    size_ = 0;
   }
 
   /// Local id of `global`, inserting it as `next_local` if absent (the
@@ -36,6 +48,7 @@ class BallIndex {
       i = empty_slot(global);
     }
     slots_[i] = {global, next_local};
+    used_.push_back(i);
     ++size_;
     return next_local;
   }
@@ -55,6 +68,15 @@ class BallIndex {
     NodeId local;
   };
   static constexpr std::size_t kMinCapacity = 64;
+  static constexpr std::size_t kMaxSlack = 8;
+
+  /// Smallest power-of-two capacity (≥ kMinCapacity) holding `members` at
+  /// load ≤ 1/2.
+  [[nodiscard]] static std::size_t capacity_for(std::size_t members) {
+    std::size_t capacity = kMinCapacity;
+    while (capacity < 2 * members) capacity *= 2;
+    return capacity;
+  }
 
   /// Fibonacci hashing: the top log2(capacity) bits of id·2^64/φ, which
   /// spreads the runs of consecutive ids generators and loaders produce.
@@ -64,8 +86,7 @@ class BallIndex {
         shift_);
   }
 
-  void reset(std::size_t capacity) {
-    slots_.assign(capacity, Slot{kInvalidNode, kInvalidNode});
+  void set_geometry(std::size_t capacity) {
     mask_ = capacity - 1;
     shift_ = 64U - static_cast<unsigned>(std::countr_zero(capacity));
   }
@@ -77,20 +98,43 @@ class BallIndex {
     return i;
   }
 
+  /// Doubles the table, re-placing the members in insertion order so
+  /// `used_` stays the list of occupied slots.
   void grow() {
-    std::vector<Slot> old;
+    std::vector<Slot> old(slots_.size() * 2, Slot{kInvalidNode, kInvalidNode});
     old.swap(slots_);
-    reset(old.size() * 2);
-    for (const Slot& slot : old) {
-      if (slot.global != kInvalidNode) slots_[empty_slot(slot.global)] = slot;
+    set_geometry(slots_.size());
+    for (std::size_t& slot : used_) {
+      const Slot member = old[slot];
+      slot = empty_slot(member.global);
+      slots_[slot] = member;
     }
   }
 
   std::vector<Slot> slots_;
+  /// Occupied slots, one per member: what the next prepare() blanks.
+  std::vector<std::size_t> used_;
   std::size_t mask_ = 0;
   unsigned shift_ = 64;
   std::size_t size_ = 0;
 };
+
+/// Per-thread working arrays of build_ball(). Their capacity survives from
+/// ball to ball, so a warm thread assembles a ball without growing a
+/// vector; the Subgraph gets exact-size copies.
+struct BallScratch {
+  BallIndex index;
+  std::vector<NodeId> locals;           // local -> global; the BFS queue
+  std::vector<std::uint16_t> depth;     // local -> BFS depth
+  std::vector<std::uint64_t> offsets;   // induced CSR, built row by row
+  std::vector<NodeId> targets;
+  std::vector<std::uint32_t> global_degree;
+};
+
+template <typename T>
+std::vector<T> exact_copy(const std::vector<T>& v) {
+  return std::vector<T>(v.begin(), v.end());
+}
 
 class CsrRows final : public RowSource {
  public:
@@ -105,20 +149,22 @@ class CsrRows final : public RowSource {
 
 Subgraph build_ball(RowSource& rows, NodeId seed, unsigned radius,
                     BfsStats* stats) {
-  std::span<const NodeId> row = rows.row(seed);
-  BallIndex index(row.size() + 1);
-  index.find_or_insert(seed, 0);
+  thread_local BallScratch scratch;
+  BallIndex& index = scratch.index;
+  std::vector<NodeId>& locals = scratch.locals;
+  std::vector<std::uint16_t>& depth = scratch.depth;
+  std::vector<std::uint64_t>& offsets = scratch.offsets;
+  std::vector<NodeId>& targets = scratch.targets;
+  std::vector<std::uint32_t>& global_degree = scratch.global_degree;
 
-  // `locals` doubles as the BFS queue: members are appended in discovery
-  // order and scanned with a cursor.
-  std::vector<NodeId> locals;           // local -> global
-  std::vector<std::uint16_t> depth;     // local -> BFS depth
-  std::vector<std::uint64_t> offsets;   // induced CSR, built row by row
-  std::vector<NodeId> targets;
-  std::vector<std::uint32_t> global_degree;
-  locals.push_back(seed);
-  depth.push_back(0);
-  offsets.push_back(0);
+  std::span<const NodeId> row = rows.row(seed);
+  index.prepare(row.size() + 1);
+  index.find_or_insert(seed, 0);
+  locals.assign(1, seed);
+  depth.assign(1, 0);
+  offsets.assign(1, 0);
+  targets.clear();
+  global_degree.clear();
 
   // Closes member `lu`'s induced row. Local ids are assigned in BFS order,
   // not global order, so the row is re-sorted to satisfy the Subgraph
@@ -133,6 +179,8 @@ Subgraph build_ball(RowSource& rows, NodeId seed, unsigned radius,
   // Interior members (depth < radius) are a prefix of the BFS order. Every
   // neighbor of one becomes a member while it is expanded, so its induced
   // row is its whole row, appended as the probes return the local ids.
+  // `locals` doubles as the BFS queue: members are appended in discovery
+  // order and scanned with a cursor.
   std::size_t arcs_scanned = 0;
   std::size_t lu = 0;
   for (; lu < locals.size() && depth[lu] < radius; ++lu) {
@@ -162,17 +210,14 @@ Subgraph build_ball(RowSource& rows, NodeId seed, unsigned radius,
     close_row(lu, row.size());
   }
 
-  // Subgraph::bytes() charges capacity, so the arrays whose final size is
-  // only known now are trimmed to it.
-  offsets.shrink_to_fit();
-  targets.shrink_to_fit();
-  global_degree.shrink_to_fit();
   if (stats != nullptr) {
     stats->nodes_visited = locals.size();
     stats->arcs_scanned = arcs_scanned;
   }
-  return Subgraph(std::move(offsets), std::move(targets), std::move(locals),
-                  std::move(global_degree), std::move(depth), radius);
+  // Subgraph::bytes() charges capacity, so the ball gets exact-size arrays
+  // and the scratch keeps its capacity for the next ball.
+  return Subgraph(exact_copy(offsets), exact_copy(targets), exact_copy(locals),
+                  exact_copy(global_degree), exact_copy(depth), radius);
 }
 
 Subgraph extract_ball(const Graph& g, NodeId seed, unsigned radius,

@@ -37,6 +37,11 @@ class RowSource {
 /// proportional to the ball, never to the full graph — the whole point of
 /// MeLoPPR is that queries must not touch O(|V|) state.
 ///
+/// The index and the working arrays are per-thread scratch reused from
+/// ball to ball (the returned Subgraph owns exact-size copies), so
+/// concurrent callers are safe, but a RowSource must not itself call
+/// build_ball() from row().
+///
 /// `seed` must be a valid node of the source. Callers validate it (and
 /// reject isolated seeds), since only they know their node range.
 Subgraph build_ball(RowSource& rows, NodeId seed, unsigned radius,

@@ -265,13 +265,20 @@ bool DynamicGraph::touched_since(const Subgraph& ball,
   if (history_.empty() || history_.front().version > since_version + 1) {
     return true;
   }
+  // One pass over the ball (Subgraph keeps no membership index): the
+  // window's endpoints, sorted, against each member.
+  std::vector<NodeId> endpoints;
   for (auto it = history_.rbegin();
        it != history_.rend() && it->version > since_version; ++it) {
-    if (ball.contains(it->update.u) || ball.contains(it->update.v)) {
-      return true;
-    }
+    endpoints.push_back(it->update.u);
+    endpoints.push_back(it->update.v);
   }
-  return false;
+  std::sort(endpoints.begin(), endpoints.end());
+  return std::any_of(
+      ball.local_to_global().begin(), ball.local_to_global().end(),
+      [&](NodeId global) {
+        return std::binary_search(endpoints.begin(), endpoints.end(), global);
+      });
 }
 
 std::size_t DynamicGraph::add_update_listener(UpdateListener listener) {

@@ -1,7 +1,6 @@
 #include "graph/subgraph.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <sstream>
 
 #include "util/assert.hpp"
@@ -28,23 +27,6 @@ Subgraph::Subgraph(std::vector<std::uint64_t> offsets,
   MELO_CHECK(n > 0);
   MELO_CHECK(depth_[0] == 0);
 
-  // Build the sorted membership index.
-  std::vector<NodeId> order(n);
-  std::iota(order.begin(), order.end(), NodeId{0});
-  std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
-    return local_to_global_[a] < local_to_global_[b];
-  });
-  sorted_globals_.resize(n);
-  sorted_locals_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    sorted_globals_[i] = local_to_global_[order[i]];
-    sorted_locals_[i] = order[i];
-  }
-  for (std::size_t i = 1; i < n; ++i) {
-    MELO_CHECK_MSG(sorted_globals_[i - 1] < sorted_globals_[i],
-                   "duplicate global id in sub-graph");
-  }
-
   // Depth-prefix table: local ids are assigned in BFS discovery order, so
   // depth is nondecreasing in local id and each depth class is a contiguous
   // id range. The diffusion kernels bound every per-iteration pass with
@@ -65,11 +47,10 @@ Subgraph::Subgraph(std::vector<std::uint64_t> offsets,
 }
 
 NodeId Subgraph::to_local(NodeId global) const {
-  const auto it = std::lower_bound(sorted_globals_.begin(),
-                                   sorted_globals_.end(), global);
-  if (it == sorted_globals_.end() || *it != global) return kInvalidNode;
-  return sorted_locals_[static_cast<std::size_t>(
-      it - sorted_globals_.begin())];
+  const auto it =
+      std::find(local_to_global_.begin(), local_to_global_.end(), global);
+  if (it == local_to_global_.end()) return kInvalidNode;
+  return static_cast<NodeId>(it - local_to_global_.begin());
 }
 
 std::size_t Subgraph::frontier_count() const {
@@ -86,8 +67,6 @@ std::size_t Subgraph::bytes() const {
          local_to_global_.capacity() * sizeof(NodeId) +
          global_degree_.capacity() * sizeof(std::uint32_t) +
          depth_.capacity() * sizeof(std::uint16_t) +
-         sorted_globals_.capacity() * sizeof(NodeId) +
-         sorted_locals_.capacity() * sizeof(NodeId) +
          depth_prefix_.capacity() * sizeof(std::uint32_t);
 }
 
@@ -123,10 +102,12 @@ void Subgraph::validate() const {
       MELO_CHECK(std::binary_search(adj.begin(), adj.end(), v));
     }
   }
-  // Membership index round-trips.
-  for (NodeId v = 0; v < n; ++v) {
-    MELO_CHECK(to_local(to_global(v)) == v);
-  }
+  // Relabeling is injective: no global id appears twice.
+  std::vector<NodeId> globals = local_to_global_;
+  std::sort(globals.begin(), globals.end());
+  MELO_CHECK_MSG(
+      std::adjacent_find(globals.begin(), globals.end()) == globals.end(),
+      "duplicate global id in sub-graph");
 }
 
 std::string Subgraph::summary() const {

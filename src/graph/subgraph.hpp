@@ -70,7 +70,10 @@ class Subgraph {
   }
 
   /// Local id of a global node, or kInvalidNode if outside the ball.
-  /// O(log n) via the sorted membership index.
+  /// O(n): a linear scan of the relabeling table. A ball keeps no
+  /// global→local index because no hot path looks members up by global id
+  /// (diffusion, caching and aggregation all walk local ids); only tests
+  /// call this, and DynamicGraph::touched_since scans local_to_global().
   [[nodiscard]] NodeId to_local(NodeId global) const;
 
   [[nodiscard]] bool contains(NodeId global) const {
@@ -100,12 +103,13 @@ class Subgraph {
   [[nodiscard]] std::size_t frontier_count() const;
 
   /// Payload bytes of the sub-graph representation: CSR arrays, relabeling
-  /// table, global-degree table, depth table and the membership index.
-  /// This is the quantity MeLoPPR-CPU's memory meter charges per ball.
+  /// table, global-degree table, depth table and depth-prefix table (no
+  /// membership index — see to_local()). This is the quantity MeLoPPR-CPU's
+  /// memory meter charges per ball.
   [[nodiscard]] std::size_t bytes() const;
 
   /// Structural validation (sorted adjacency, symmetric arcs, depth
-  /// consistency, membership index coherent). Throws InvariantViolation.
+  /// consistency, no duplicate global id). Throws InvariantViolation.
   void validate() const;
 
   [[nodiscard]] std::string summary() const;
@@ -120,9 +124,6 @@ class Subgraph {
   std::vector<NodeId> local_to_global_;
   std::vector<std::uint32_t> global_degree_;
   std::vector<std::uint16_t> depth_;
-  /// Membership index: global ids sorted, parallel local ids.
-  std::vector<NodeId> sorted_globals_;
-  std::vector<NodeId> sorted_locals_;
   /// depth_prefix_[d] = count of nodes with depth ≤ d (see depth_prefix()).
   std::vector<std::uint32_t> depth_prefix_;
   unsigned radius_ = 0;

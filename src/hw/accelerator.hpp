@@ -92,6 +92,11 @@ class Accelerator {
   ///   π_a += (1−α)·u_k each iteration, finally π_a += u_l; π_r = u_l.
   /// Note u_k ≡ α^k·W^k·S0, so the returned residual is already α^l-scaled
   /// (see host.cpp for how the backend folds this into Eq. 8).
+  ///
+  /// The simulator's working set (score vectors, active list, write
+  /// queues) is per-thread scratch reused from call to call, so concurrent
+  /// callers — on one Accelerator or several — stay safe, and a warm thread
+  /// allocates only the returned score vectors.
   [[nodiscard]] AcceleratorRun diffuse(const graph::Subgraph& ball,
                                        std::uint32_t seed_mass,
                                        unsigned length) const;

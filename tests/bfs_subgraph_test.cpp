@@ -209,6 +209,24 @@ TEST(ExtractBall, MatchesReferenceBuilderBitwise) {
   EXPECT_GT(largest, 10000u);
 }
 
+TEST(ExtractBall, ScratchReuseMatchesReferenceBuilder) {
+  // build_ball() assembles every ball in per-thread scratch: a large ball,
+  // then a small one, then the large one again on one thread must each
+  // match the reference builder, so nothing of one ball leaks into the next.
+  Rng rng(22);
+  const Graph big = barabasi_albert(30000, 2, 2, rng);
+  NodeId hub = 0;
+  for (NodeId v = 1; v < big.num_nodes(); ++v) {
+    if (big.degree(v) > big.degree(hub)) hub = v;
+  }
+  const Graph path = fixtures::path(50);
+  const std::size_t large = expect_matches_reference(big, hub, 3);
+  const std::size_t small = expect_matches_reference(path, 25, 2);
+  EXPECT_EQ(expect_matches_reference(big, hub, 3), large);
+  EXPECT_GT(large, 10000u);
+  EXPECT_EQ(small, 5u);
+}
+
 TEST(Subgraph, ToLocalRoundTripAndMisses) {
   Graph g = fixtures::path(10);
   Subgraph ball = extract_ball(g, 5, 2);

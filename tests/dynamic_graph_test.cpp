@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -186,6 +187,61 @@ TEST(DynamicGraph, TouchedSinceProbes) {
   for (NodeId i = 10; i < 20; ++i) short_mem.apply({i, i + 20, true});
   EXPECT_TRUE(short_mem.touched_since(far_ball, 0))
       << "probe beyond the retained history must claim staleness";
+}
+
+TEST(DynamicGraph, TouchedSinceMatchesBruteForceMembership) {
+  // touched_since() scans the ball once against the window's endpoints;
+  // the reference asks, update by update, whether either endpoint is in a
+  // std::set of the ball's members.
+  Rng rng(test::test_seed() ^ 0x70c4);
+  const Graph base = community_graph(300, 6, 6.0, 1.5, rng);
+  DynamicGraph dyn(base);
+  UpdateStreamConfig scfg;
+  scfg.count = 160;
+  Rng srng = rng.fork(3);
+  const std::vector<EdgeUpdate> stream =
+      make_update_stream(base, UpdateWorkload::kRecommenderChurn, scfg, srng);
+
+  struct Probe {
+    Subgraph ball;
+    std::set<NodeId> members;
+  };
+  std::vector<Probe> probes;
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    if (i % 40 == 0) {
+      for (unsigned radius : {1u, 2u, 3u}) {
+        NodeId root = 0;
+        do {
+          root = static_cast<NodeId>(rng.below(base.num_nodes()));
+        } while (dyn.degree(root) == 0);
+        Subgraph ball = dyn.extract_ball(root, radius);
+        std::set<NodeId> members(ball.local_to_global().begin(),
+                                 ball.local_to_global().end());
+        probes.push_back({std::move(ball), std::move(members)});
+      }
+    }
+    dyn.apply(stream[i]);  // publishes version i + 1
+  }
+
+  std::size_t touched = 0;
+  std::size_t untouched = 0;
+  for (int window = 0; window < 200; ++window) {
+    const auto since = static_cast<std::uint64_t>(
+        rng.below(stream.size() + 1));
+    for (const Probe& probe : probes) {
+      bool want = false;
+      for (std::uint64_t v = since + 1; v <= stream.size(); ++v) {
+        const EdgeUpdate& u = stream[v - 1];
+        want = want || probe.members.count(u.u) != 0 ||
+               probe.members.count(u.v) != 0;
+      }
+      ASSERT_EQ(dyn.touched_since(probe.ball, since), want)
+          << "since=" << since << " root=" << probe.ball.root_global();
+      (want ? touched : untouched) += 1;
+    }
+  }
+  EXPECT_GT(touched, 0u);
+  EXPECT_GT(untouched, 0u);
 }
 
 TEST(UpdateStreams, ValidAcrossFamiliesAndWorkloads) {
